@@ -8,7 +8,7 @@ Examples::
     repro fig4 --scale 2            # larger inputs
     repro table1 --workloads rawcaudio,cjpeg
     repro all                       # every table and figure in sequence
-    repro all --jobs 4              # same output, experiments in parallel
+    repro all --jobs 4              # same output, units on 4 workers
     repro all --format json         # machine-readable report
     repro all --kernel reference    # same output, oracle simulation backend
     repro all --hierarchy reference # same output, oracle memory hierarchy
@@ -140,7 +140,7 @@ def build_parser():
         "--jobs",
         type=positive_int,
         default=1,
-        help="worker processes for independent experiments (default 1: serial)",
+        help="worker processes for pending analysis units (default 1: serial)",
     )
     parser.add_argument(
         "--format",
@@ -400,7 +400,7 @@ def _analyze_main(argv):
 def _analyze_run(args):
     from repro.analysis import crosscheck_records
     from repro.analysis.significance import operand_bounds
-    from repro.study.scheduler import ResultBroker
+    from repro.study.scheduler import AnalysisUnit, ResultBroker, TagTableUnit
     from repro.study.session import TraceStore
     from repro.workloads import mediabench_suite
 
@@ -428,7 +428,7 @@ def _analyze_run(args):
     reports = []
     violations = 0
     for workload in workloads:
-        summary = broker.analysis_summary(workload, scale=args.scale)
+        summary = broker.get(AnalysisUnit(workload.name, args.scale), workload)
         if args.crosscheck or args.tags:
             summary = dict(summary)
         if args.crosscheck:
@@ -451,7 +451,7 @@ def _analyze_run(args):
         if args.tags:
             from repro.analysis.tag_table import tag_table_stats
 
-            table = broker.tag_table(workload, scale=args.scale)
+            table = broker.get(TagTableUnit(workload.name, args.scale), workload)
             summary["tag_table"] = tag_table_stats(table)
         reports.append(summary)
 
@@ -780,9 +780,9 @@ def _experiment_run(args, argv):
     faults.bind_registry(session.registry)
     names = None if args.experiment == "all" else [args.experiment]
     try:
-        if args.experiment == "all" and args.format == "text" and args.jobs == 1:
-            # Stream each report as it completes.
-            for result in session.run_iter(names):
+        if args.experiment == "all" and args.format == "text":
+            # Stream each report as it renders.
+            for result in session.run_iter(names, jobs=args.jobs):
                 print(session.format_result_block(result))
             _write_runlog(cache_dir, argv, args, session.registry)
             return 0

@@ -46,12 +46,11 @@ scheduler records the kernel name in every persistent result-store key,
 so cached results never mix backends.
 """
 
-import os
-
 from repro.obs import tracing
 from repro.pipeline.base import PipelineResult
 from repro.pipeline.organizations import Organization
 from repro.pipeline.siginfo import SigInfo, alu_activity, compute_siginfo
+from repro.registry import Registry
 
 #: Environment variable naming the default kernel for a process.
 ENV_KERNEL = "REPRO_KERNEL"
@@ -145,81 +144,15 @@ class PipelineKernel:
 
 # --------------------------------------------------------------- registry
 
-_KERNELS = {}
-
-_default_kernel_name = None
-
-
-def register_kernel(kernel_class):
-    """Register a :class:`PipelineKernel` subclass under its ``name``.
-
-    Usable as a class decorator.  Re-registering a taken name raises —
-    silently shadowing a backend would poison result-store keys.
-    """
-    name = kernel_class.name
-    if not name or not isinstance(name, str):
-        raise ValueError("pipeline kernel %r has no name" % (kernel_class,))
-    if name in _KERNELS:
-        raise ValueError("pipeline kernel name %r already registered" % name)
-    _KERNELS[name] = kernel_class()
-    return kernel_class
-
-
-def kernel_names():
-    """Sorted names of every registered kernel."""
-    return sorted(_KERNELS)
-
-
-def get_kernel(name):
-    """The registered kernel instance for ``name`` (KeyError if unknown)."""
-    try:
-        return _KERNELS[name]
-    except KeyError:
-        raise KeyError(
-            "unknown pipeline kernel %r; available: %s"
-            % (name, ", ".join(kernel_names()))
-        )
-
-
-def default_kernel_name():
-    """The process-default kernel name.
-
-    Resolution order: :func:`set_default_kernel` (the ``--kernel`` CLI
-    flag) > the ``REPRO_KERNEL`` environment variable > ``reference``.
-    An unknown name in the environment raises ``ValueError`` rather than
-    silently simulating with the wrong backend.
-    """
-    if _default_kernel_name is not None:
-        return _default_kernel_name
-    env = os.environ.get(ENV_KERNEL)
-    if env:
-        if env not in _KERNELS:
-            raise ValueError(
-                "$%s names unknown pipeline kernel %r; available: %s"
-                % (ENV_KERNEL, env, ", ".join(kernel_names()))
-            )
-        return env
-    return DEFAULT_KERNEL
-
-
-def set_default_kernel(name):
-    """Set (or with ``None`` reset) the process-default kernel."""
-    global _default_kernel_name
-    if name is not None and name not in _KERNELS:
-        raise ValueError(
-            "unknown pipeline kernel %r; available: %s"
-            % (name, ", ".join(kernel_names()))
-        )
-    _default_kernel_name = name
-
-
-def resolve_kernel(kernel=None):
-    """Coerce ``kernel`` (None, name, or instance) to a kernel instance."""
-    if kernel is None:
-        return _KERNELS[default_kernel_name()]
-    if isinstance(kernel, str):
-        return get_kernel(kernel)
-    return kernel
+#: Name -> kernel instance, with the process default: ``--kernel``
+#: (:func:`set_default_kernel`) > ``$REPRO_KERNEL`` > :data:`DEFAULT_KERNEL`.
+_KERNELS = Registry("pipeline kernel", ENV_KERNEL, DEFAULT_KERNEL)
+register_kernel = _KERNELS.register
+kernel_names = _KERNELS.names
+get_kernel = _KERNELS.get
+default_kernel_name = _KERNELS.default_name
+set_default_kernel = _KERNELS.set_default
+resolve_kernel = _KERNELS.resolve
 
 
 # ------------------------------------------------------- reference kernel

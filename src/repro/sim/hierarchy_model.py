@@ -58,9 +58,8 @@ hierarchy name in every persistent result-store key (next to the kernel
 name), so cached results never mix backends.
 """
 
-import os
-
 from repro.obs import tracing
+from repro.registry import Registry
 from repro.sim.hierarchy import PAPER_HIERARCHY, MemoryHierarchy
 from repro.sim.tlb import PAGE_BITS
 
@@ -111,81 +110,16 @@ class HierarchyModel:
 
 # --------------------------------------------------------------- registry
 
-_HIERARCHIES = {}
-
-_default_hierarchy_name = None
-
-
-def register_hierarchy(model_class):
-    """Register a :class:`HierarchyModel` subclass under its ``name``.
-
-    Usable as a class decorator.  Re-registering a taken name raises —
-    silently shadowing a backend would poison result-store keys.
-    """
-    name = model_class.name
-    if not name or not isinstance(name, str):
-        raise ValueError("hierarchy model %r has no name" % (model_class,))
-    if name in _HIERARCHIES:
-        raise ValueError("hierarchy model name %r already registered" % name)
-    _HIERARCHIES[name] = model_class()
-    return model_class
-
-
-def hierarchy_names():
-    """Sorted names of every registered hierarchy backend."""
-    return sorted(_HIERARCHIES)
-
-
-def get_hierarchy(name):
-    """The registered model instance for ``name`` (KeyError if unknown)."""
-    try:
-        return _HIERARCHIES[name]
-    except KeyError:
-        raise KeyError(
-            "unknown hierarchy model %r; available: %s"
-            % (name, ", ".join(hierarchy_names()))
-        )
-
-
-def default_hierarchy_name():
-    """The process-default hierarchy name.
-
-    Resolution order: :func:`set_default_hierarchy` (the ``--hierarchy``
-    CLI flag) > the ``REPRO_HIERARCHY`` environment variable > ``memo``.
-    An unknown name in the environment raises ``ValueError`` rather
-    than silently simulating with the wrong backend.
-    """
-    if _default_hierarchy_name is not None:
-        return _default_hierarchy_name
-    env = os.environ.get(ENV_HIERARCHY)
-    if env:
-        if env not in _HIERARCHIES:
-            raise ValueError(
-                "$%s names unknown hierarchy model %r; available: %s"
-                % (ENV_HIERARCHY, env, ", ".join(hierarchy_names()))
-            )
-        return env
-    return DEFAULT_HIERARCHY
-
-
-def set_default_hierarchy(name):
-    """Set (or with ``None`` reset) the process-default hierarchy."""
-    global _default_hierarchy_name
-    if name is not None and name not in _HIERARCHIES:
-        raise ValueError(
-            "unknown hierarchy model %r; available: %s"
-            % (name, ", ".join(hierarchy_names()))
-        )
-    _default_hierarchy_name = name
-
-
-def resolve_hierarchy(hierarchy=None):
-    """Coerce ``hierarchy`` (None, name, or instance) to a model instance."""
-    if hierarchy is None:
-        return _HIERARCHIES[default_hierarchy_name()]
-    if isinstance(hierarchy, str):
-        return get_hierarchy(hierarchy)
-    return hierarchy
+#: Name -> model instance, with the process default: ``--hierarchy``
+#: (:func:`set_default_hierarchy`) > ``$REPRO_HIERARCHY`` >
+#: :data:`DEFAULT_HIERARCHY`.
+_HIERARCHIES = Registry("hierarchy model", ENV_HIERARCHY, DEFAULT_HIERARCHY)
+register_hierarchy = _HIERARCHIES.register
+hierarchy_names = _HIERARCHIES.names
+get_hierarchy = _HIERARCHIES.get
+default_hierarchy_name = _HIERARCHIES.default_name
+set_default_hierarchy = _HIERARCHIES.set_default
+resolve_hierarchy = _HIERARCHIES.resolve
 
 
 # ----------------------------------------------------- reference backend

@@ -20,8 +20,9 @@ experiment id   paper artifact                              module
 ==============  ==========================================  =================
 
 Use :func:`repro.study.experiments.run_experiment`, the ``repro`` CLI,
-or — to share one trace materialization across many experiments (and to
-run them in parallel) — :class:`repro.study.session.ExperimentSession`.
+or — to share one trace materialization and one unit memo across many
+experiments (with the units computed in parallel) —
+:class:`repro.study.session.ExperimentSession`.
 """
 
 from repro.study.experiments import (

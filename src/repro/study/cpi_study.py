@@ -7,7 +7,7 @@ side with the paper's quoted average.
 """
 
 from repro.study.report import format_bar_chart, format_table, percent
-from repro.study.scheduler import resolve_pipeline_result
+from repro.study.scheduler import SimUnit, resolve
 from repro.workloads import mediabench_suite
 
 #: Figure id -> (organizations shown, paper's average CPI overhead).
@@ -37,13 +37,9 @@ def collect_cpis(organizations, workloads=None, scale=1, store=None):
     for organization in organizations:
         table[organization] = []
     for workload in workloads:
-        table["baseline32"].append(
-            resolve_pipeline_result(workload, scale, "baseline32", store).cpi
-        )
-        for organization in organizations:
-            table[organization].append(
-                resolve_pipeline_result(workload, scale, organization, store).cpi
-            )
+        for organization, cpis in table.items():
+            unit = SimUnit(workload.name, scale, organization)
+            cpis.append(resolve(unit, workload, store).cpi)
     return names, table
 
 
@@ -98,7 +94,9 @@ def run_bottleneck(workloads=None, scale=1, store=None):
     totals = {}
     instructions = 0
     for workload in workloads:
-        result = resolve_pipeline_result(workload, scale, "byte_serial", store)
+        result = resolve(
+            SimUnit(workload.name, scale, "byte_serial"), workload, store
+        )
         for stage, value in result.stage_excess.items():
             totals[stage] = totals.get(stage, 0) + value
         instructions += result.instructions

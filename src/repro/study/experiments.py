@@ -5,10 +5,12 @@ and *unit* requirements, and a runner ``f(workloads, scale, store)``.
 The specs are what :class:`repro.study.session.ExperimentSession`
 schedules: the session materializes the required traces once in a
 shared :class:`~repro.study.session.TraceStore`, executes the deduped
-analysis units (pipeline simulations, activity passes, fetch walks)
-through the :class:`~repro.study.scheduler.ResultBroker` — at most once
-per (workload, organization) no matter how many experiments share them
-— and fans the runners out, serially or across worker processes.
+analysis units (pipeline simulations, activity passes, fetch walks,
+trace walks) through the :class:`~repro.study.scheduler.ResultBroker` —
+at most once per (workload, organization) no matter how many
+experiments share them, serially or across supervised workers — and
+then runs the runners serially; they reach every unit through
+:func:`~repro.study.scheduler.resolve`.
 """
 
 from repro.analysis.tag_table import static_scheme_totals
@@ -24,10 +26,7 @@ from repro.study.scheduler import (
     TagTableUnit,
     WalkUnit,
     activity_config,
-    resolve_activity_report,
-    resolve_pipeline_result,
-    resolve_tag_table,
-    resolve_walk_payload,
+    resolve,
 )
 from repro.workloads import mediabench_suite
 
@@ -255,7 +254,7 @@ def _stored_bit_ratios(workloads, spec, scale, store):
     total_bits = None
     total_values = 0
     for workload in workloads:
-        payload = resolve_walk_payload(workload, spec, scale, store=store)
+        payload = resolve(WalkUnit(workload.name, scale, spec), workload, store)
         if total_bits is None:
             total_bits = [0] * len(payload["bits"])
         for index, bits in enumerate(payload["bits"]):
@@ -277,8 +276,10 @@ def _static_scheme_ratio(workloads, scale, store):
     total_bits = 0
     total_values = 0
     for workload in workloads:
-        table = resolve_tag_table(workload, scale=scale, store=store)
-        payload = resolve_walk_payload(workload, PC_EXEC_WALK, scale, store=store)
+        table = resolve(TagTableUnit(workload.name, scale), workload, store)
+        payload = resolve(
+            WalkUnit(workload.name, scale, PC_EXEC_WALK), workload, store
+        )
         totals = static_scheme_totals(table, payload["execs"])
         total_bits += totals["bits"]
         total_values += totals["values"]
@@ -355,25 +356,23 @@ def _run_energy(workloads=None, scale=1, store=None):
     proportional to capacitance-weighted switching activity) so the
     organizations can be compared on energy and energy-delay product.
     """
-    from repro.pipeline import ActivityModel
     from repro.pipeline.energy import EnergyModel
     from repro.pipeline.organizations import get_organization
 
     workloads = workloads or mediabench_suite()
-    activity_model = ActivityModel()
     energy_model = EnergyModel()
     # One activity report and one baseline simulation per workload,
     # shared across every organization row (and, through the broker,
     # with table5 and the CPI figures).
     reports = {
-        workload.name: resolve_activity_report(
-            activity_model, workload, scale, store
+        workload.name: resolve(
+            ActivityUnit(workload.name, scale, BYTE_ACTIVITY), workload, store
         )
         for workload in workloads
     }
     baselines = {
-        workload.name: resolve_pipeline_result(
-            workload, scale, "baseline32", store
+        workload.name: resolve(
+            SimUnit(workload.name, scale, "baseline32"), workload, store
         )
         for workload in workloads
     }
@@ -387,7 +386,9 @@ def _run_energy(workloads=None, scale=1, store=None):
         for workload in workloads:
             report = reports[workload.name]
             baseline_cpi = baselines[workload.name].cpi
-            result = resolve_pipeline_result(workload, scale, org_name, store)
+            result = resolve(
+                SimUnit(workload.name, scale, org_name), workload, store
+            )
             estimate = energy_model.estimate(report, result, latch_scale=latch_scale)
             savings_sum += estimate.energy_savings
             edp_sum += estimate.energy_delay_product(baseline_cpi)
@@ -446,11 +447,11 @@ def _run_branch_prediction_ablation(workloads=None, scale=1, store=None):
         predicted_cpis = []
         accuracy_total = 0.0
         for workload in workloads:
-            stall_cpis.append(
-                resolve_pipeline_result(workload, scale, org_name, store).cpi
-            )
-            predicted = resolve_pipeline_result(
-                workload, scale, org_name, store, variant=BIMODAL_VARIANT
+            stall = resolve(SimUnit(workload.name, scale, org_name), workload, store)
+            stall_cpis.append(stall.cpi)
+            predicted = resolve(
+                SimUnit(workload.name, scale, org_name, BIMODAL_VARIANT),
+                workload, store,
             )
             predicted_cpis.append(predicted.cpi)
             accuracy_total += predicted.predictor_accuracy

@@ -10,7 +10,7 @@ instructions carrying immediates with 80% of those fitting 8 bits, and
 
 from repro.core.icompress import FetchStatistics, build_recode_table
 from repro.study.report import format_comparison, format_table
-from repro.study.scheduler import resolve_fetch_statistics
+from repro.study.scheduler import FetchUnit, resolve
 from repro.study.session import resolve_trace
 from repro.workloads import mediabench_suite
 
@@ -38,7 +38,9 @@ def collect_fetch_statistics(workloads=None, scale=1, compressor=None, store=Non
     if compressor is None:
         stats = FetchStatistics()
         for workload in workloads or mediabench_suite():
-            stats.merge(resolve_fetch_statistics(workload, scale, store))
+            stats.merge(
+                resolve(FetchUnit(workload.name, scale), workload, store)
+            )
         return stats
     stats = FetchStatistics(compressor=compressor)
     for workload in workloads or mediabench_suite():

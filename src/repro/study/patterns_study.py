@@ -7,7 +7,7 @@ ones the cheaper 2-bit scheme can express) cover ~94% of values.
 
 from repro.core.patterns import PatternCounter
 from repro.study.report import format_table, percent
-from repro.study.scheduler import resolve_walk_payload
+from repro.study.scheduler import WalkUnit, resolve
 from repro.study.walkers import counter_from_payload
 from repro.workloads import mediabench_suite
 
@@ -41,7 +41,7 @@ def collect_pattern_counter(workloads=None, scale=1, include_writes=True, store=
     counter = PatternCounter()
     spec = pattern_walk_spec(include_writes)
     for workload in workloads or mediabench_suite():
-        payload = resolve_walk_payload(workload, spec, scale, store=store)
+        payload = resolve(WalkUnit(workload.name, scale, spec), workload, store)
         counter.merge(counter_from_payload(payload))
     return counter
 

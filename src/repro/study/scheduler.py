@@ -1,8 +1,11 @@
 """Unit-sharded analysis scheduler.
 
-The experiments decompose into fine-grained *units* — one pipeline
-simulation, activity-model pass or fetch-statistics walk over one
-``(workload, scale)`` trace.  Units are the scheduler's currency:
+The experiments decompose into fine-grained *units*: one pipeline
+simulation, activity-model pass, fetch walk, trace-walk reduction or
+static analysis over one ``(workload, scale)``.  Every kind is a
+declarative :class:`Unit` subclass: it names its ``kind``, its identity
+fields, how it reads the trace, how to compute itself and how its
+result travels to and from a stored payload.
 
 * :class:`SimUnit` — ``simulate(organization, trace)`` under a named
   pipeline kernel (see :mod:`repro.pipeline.kernel`), optionally with
@@ -13,33 +16,38 @@ simulation, activity-model pass or fetch-statistics walk over one
   over the instruction stream;
 * :class:`WalkUnit` — one :class:`~repro.study.walkers.TraceWalker`
   reduction (pattern counts, PC-stream activity, value-level ablation
-  scans) over the record stream.
+  scans) over the record stream;
+* :class:`AnalysisUnit` / :class:`TagTableUnit` — static analysis of
+  the assembled program (no trace at all).
 
 :class:`ResultBroker` executes units with a three-level fallthrough —
 in-memory memo → persistent :class:`~repro.study.result_store.ResultStore`
 → compute — so a unit shared by several experiments (``baseline32``
 appears in every figure; ``byte_serial`` in fig4, fig6 and the
 bottleneck analysis) runs **at most once per session**, and not at all
-when a warm result store holds it.  :meth:`ResultBroker.run_units` fans
-pending units out across forked workers, sharding *within* an
-experiment rather than only across experiments; because every unit is
-deterministic, study reports reassemble byte-identically regardless of
-scheduling.
+when a warm result store holds it.  :meth:`ResultBroker.run_units` is
+the engine's one parallel fan-out: pending units run on the
+:class:`~repro.study.supervisor.SupervisedExecutor` under ``--jobs N``,
+sharding *within* an experiment rather than only across experiments;
+because every unit is deterministic, study reports reassemble
+byte-identically regardless of scheduling.
 
-Walk units are special-cased for fusion: all pending walkers for the
-same ``(workload, scale)`` execute in **one** streaming decode pass
-(:meth:`~repro.study.session.TraceStore.stream`), so a cold ``repro
-all`` decodes each trace at most once for every walk study combined —
-and, when the trace is already in the persistent cache, never builds
-the full record list at all.
+Units that read the trace as a stream (walk units) fuse: all pending
+ones for the same ``(workload, scale)`` execute in **one** streaming
+decode pass (:meth:`~repro.study.session.TraceStore.stream`), so a cold
+``repro all`` decodes each trace at most once for every walk study
+combined — and, when the trace is already in the persistent cache,
+never builds the full record list at all.
+
+:func:`resolve` is the study modules' one entry point: through the
+session's broker when the store carries one, a direct compute
+otherwise.
 """
 
 import multiprocessing
 import sys
-from collections import namedtuple
 
 from repro.obs import tracing
-from repro.obs.metrics import MetricsRegistry
 
 from repro.analysis.driver import (
     ANALYSIS_VERSION,
@@ -62,6 +70,7 @@ from repro.pipeline.organizations import get_organization
 from repro.pipeline.predictor import BimodalPredictor
 from repro.sim.hierarchy_model import default_hierarchy_name, get_hierarchy
 from repro.sim.tracefile import TraceCodecError
+from repro.study.session import resolve_trace
 from repro.study.supervisor import SupervisedExecutor
 from repro.study.walkers import (
     build_walker,
@@ -77,37 +86,118 @@ from repro.study.walkers import (
 BIMODAL_VARIANT = "bimodal"
 
 
-class _UnitIdentity:
-    """Unit identity includes the unit *type*, not just the field tuple.
+class Unit:
+    """One deterministic analysis result over one ``(workload, scale)``.
 
-    namedtuple equality is plain tuple equality, so two unit kinds with
-    the same field shape — ``FetchUnit``, ``AnalysisUnit`` and
-    ``TagTableUnit`` are all ``(workload, scale)`` — would otherwise
-    collide as broker memo keys and serve each other's results.
+    A kind declares, rather than being dispatched on: :attr:`kind`, its
+    identity :attr:`fields` (after ``workload`` and ``scale``), how it
+    reads the trace (:attr:`trace`), :meth:`compute`, and the payload
+    round trip (:meth:`to_payload` / :meth:`from_payload`).  The base
+    supplies identity — equality and hashing include the unit *type*,
+    so kinds with the same field shape (``FetchUnit``, ``AnalysisUnit``
+    and ``TagTableUnit`` are all ``(workload, scale)``) never collide as
+    memo keys — plus the store :meth:`descriptor`, :meth:`slug`,
+    :meth:`label` and pickling.  Units are immutable.
     """
 
-    __slots__ = ()
+    __slots__ = ("workload", "scale")
+    #: The descriptor's ``kind`` (and the default :meth:`slug`).
+    kind = None
+    #: Identity fields after ``workload`` and ``scale``.
+    fields = ()
+    #: How :meth:`compute` reads the trace: ``"list"`` (the full record
+    #: list), ``"stream"`` (one pass; pending units over the same trace
+    #: fuse into a single pass) or ``None`` (no trace at all).
+    trace = "list"
+    #: Result class whose ``to_dict``/``from_dict`` form the payload.
+    result_type = None
+    #: Counters a memo hit and a compute book under (label -> count).
+    hit_counter = "sim_hits"
+    miss_counter = "sim_misses"
 
-    def __hash__(self):
-        """Hash over ``(kind, *fields)`` so distinct kinds never collide."""
-        return hash((self.kind,) + tuple(self))
+    def __init__(self, workload, scale, *values):
+        if len(values) != len(self.fields):
+            raise TypeError(
+                "%s takes %d identity fields %r, got %d"
+                % (type(self).__name__, len(self.fields), self.fields,
+                   len(values))
+            )
+        object.__setattr__(self, "workload", workload)
+        object.__setattr__(self, "scale", scale)
+        for name, value in zip(self.fields, values):
+            object.__setattr__(self, name, value)
+
+    def identity(self):
+        """``(workload, scale, *fields)``."""
+        return (self.workload, self.scale) + tuple(
+            getattr(self, name) for name in self.fields
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("units are immutable (memo and store keys)")
 
     def __eq__(self, other):
         """Equal only to the same unit type with the same fields."""
-        return self.__class__ is other.__class__ and tuple(self) == tuple(other)
+        return type(self) is type(other) and self.identity() == other.identity()
 
-    def __ne__(self, other):
-        """The negation of :meth:`__eq__` (namedtuple would say tuple ne)."""
-        return not self.__eq__(other)
+    def __hash__(self):
+        """Hash over ``(kind, *identity)`` so distinct kinds never collide."""
+        return hash((self.kind,) + self.identity())
+
+    def __reduce__(self):
+        return type(self), self.identity()
+
+    def __repr__(self):
+        names = ("workload", "scale") + self.fields
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % pair for pair in zip(names, self.identity())
+        ))
+
+    def descriptor(self):
+        """JSON-able identity for the persistent result store."""
+        descriptor = {"kind": self.kind}
+        for name in self.fields:
+            descriptor[name] = spec_jsonable(getattr(self, name))
+        return descriptor
+
+    def slug(self):
+        """Filename-safe unit name."""
+        return self.kind
+
+    def label(self):
+        """Human-readable counter key: ``workload@scale/slug``."""
+        return "%s@%d/%s" % (self.workload, self.scale, self.slug())
+
+    def pin(self, kernel, hierarchy):
+        """This unit under a broker's simulation backends (most ignore them)."""
+        return self
+
+    def compute(self, workload, traces):
+        """The result, over ``traces`` (a TraceStore, or None for the
+        workload's own cache)."""
+        raise NotImplementedError
+
+    def to_payload(self, result):
+        """The JSON-able payload the result store persists."""
+        return result.to_dict()
+
+    def from_payload(self, payload):
+        """The result from a stored payload (ValueError/TypeError if unusable)."""
+        return self.result_type.from_dict(payload)
 
 
-class SimUnit(
-    _UnitIdentity,
-    namedtuple(
-        "SimUnit",
-        ("workload", "scale", "organization", "variant", "kernel", "hierarchy"),
-    ),
-):
+def _backend(name, default, lookup):
+    """``name`` (or the process default) checked against its registry."""
+    if name is None:
+        return default()
+    try:
+        lookup(name)  # unknown names fail here, not at compute
+    except KeyError as error:
+        raise ValueError(str(error))
+    return name
+
+
+class SimUnit(Unit):
     """One pipeline simulation:
     (workload, scale, organization, variant, kernel, hierarchy).
 
@@ -120,40 +210,19 @@ class SimUnit(
     backends can never mix.
     """
 
-    __slots__ = ()
+    __slots__ = fields = ("organization", "variant", "kernel", "hierarchy")
     kind = "pipeline"
+    result_type = PipelineResult
 
-    def __new__(cls, workload, scale, organization, variant=None, kernel=None,
-                hierarchy=None):
+    def __init__(self, workload, scale, organization, variant=None,
+                 kernel=None, hierarchy=None):
         if variant not in (None, BIMODAL_VARIANT):
             raise ValueError("unknown simulation variant %r" % (variant,))
-        if kernel is None:
-            kernel = default_kernel_name()
-        else:
-            try:
-                get_kernel(kernel)  # unknown names fail here, not at compute
-            except KeyError as error:
-                raise ValueError(str(error))
-        if hierarchy is None:
-            hierarchy = default_hierarchy_name()
-        else:
-            try:
-                get_hierarchy(hierarchy)  # unknown names fail here too
-            except KeyError as error:
-                raise ValueError(str(error))
-        return super().__new__(
-            cls, workload, scale, organization, variant, kernel, hierarchy
+        super().__init__(
+            workload, scale, organization, variant,
+            _backend(kernel, default_kernel_name, get_kernel),
+            _backend(hierarchy, default_hierarchy_name, get_hierarchy),
         )
-
-    def descriptor(self):
-        """JSON-able identity for the persistent result store."""
-        return {
-            "kind": self.kind,
-            "organization": self.organization,
-            "variant": self.variant,
-            "kernel": self.kernel,
-            "hierarchy": self.hierarchy,
-        }
 
     def slug(self):
         """Filename-safe unit name."""
@@ -161,22 +230,52 @@ class SimUnit(
             return self.organization
         return "%s+%s" % (self.organization, self.variant)
 
-    def label(self):
-        """Human-readable counter key: ``workload@scale/organization``."""
-        return "%s@%d/%s" % (self.workload, self.scale, self.slug())
+    def pin(self, kernel, hierarchy):
+        """This simulation under the given backends.
+
+        Experiment specs build units without a session reference; the
+        broker pins its session's ``--kernel`` / ``--hierarchy`` here.
+        """
+        if (self.kernel, self.hierarchy) == (kernel, hierarchy):
+            return self
+        return SimUnit(
+            self.workload, self.scale, self.organization, self.variant,
+            kernel, hierarchy,
+        )
+
+    def compute(self, workload, traces):
+        """Simulate; the wall time is booked per kernel and hierarchy."""
+        records = resolve_trace(workload, self.scale, traces)
+        predictor = (
+            BimodalPredictor() if self.variant == BIMODAL_VARIANT else None
+        )
+        pipeline = InOrderPipeline(
+            get_organization(self.organization), predictor=predictor,
+            kernel=self.kernel, hierarchy=self.hierarchy,
+        )
+        with tracing.span(
+            "pipeline.run:%s" % self.label(), "compute",
+            kernel=self.kernel, hierarchy=self.hierarchy,
+            organization=self.organization, workload=self.workload,
+        ) as handle:
+            result = pipeline.run(records)
+        if traces is not None:
+            # Booked where the simulation ran: a forked worker ships the
+            # registry delta back with its result.
+            counter = traces.registry.counter
+            counter("sim_units").inc(self.kernel)
+            counter("sim_compute_seconds").inc(self.kernel, handle.seconds)
+            counter("sim_instructions").inc(self.kernel, result.instructions)
+            counter("hierarchy_seconds").inc(self.hierarchy, handle.seconds)
+        return result
 
 
-class ActivityUnit(
-    _UnitIdentity, namedtuple("ActivityUnit", ("workload", "scale", "config"))
-):
+class ActivityUnit(Unit):
     """One activity-model pass; ``config`` is ActivityModel.config_key()."""
 
-    __slots__ = ()
+    __slots__ = fields = ("config",)
     kind = "activity"
-
-    def descriptor(self):
-        """JSON-able identity for the persistent result store."""
-        return {"kind": self.kind, "config": list(self.config)}
+    result_type = ActivityReport
 
     def slug(self):
         """Filename-safe unit name."""
@@ -187,33 +286,30 @@ class ActivityUnit(
             "-mem" if ext_in_memory else "",
         )
 
-    def label(self):
-        """Human-readable counter key."""
-        return "%s@%d/%s" % (self.workload, self.scale, self.slug())
+    def compute(self, workload, traces):
+        """Run the configured activity model over the trace."""
+        records = resolve_trace(workload, self.scale, traces)
+        return model_from_config(self.config).process(
+            records, name=workload.name
+        )
 
 
-class FetchUnit(_UnitIdentity, namedtuple("FetchUnit", ("workload", "scale"))):
+class FetchUnit(Unit):
     """One fetch-statistics walk (default instruction compressor)."""
 
     __slots__ = ()
     kind = "fetch"
+    result_type = FetchStatistics
 
-    def descriptor(self):
-        """JSON-able identity for the persistent result store."""
-        return {"kind": self.kind}
-
-    def slug(self):
-        """Filename-safe unit name."""
-        return "fetch"
-
-    def label(self):
-        """Human-readable counter key."""
-        return "%s@%d/fetch" % (self.workload, self.scale)
+    def compute(self, workload, traces):
+        """Tally the trace's instruction stream."""
+        stats = FetchStatistics()
+        for record in resolve_trace(workload, self.scale, traces):
+            stats.record(record.instr)
+        return stats
 
 
-class WalkUnit(
-    _UnitIdentity, namedtuple("WalkUnit", ("workload", "scale", "walker"))
-):
+class WalkUnit(Unit):
     """One trace-walk reduction; ``walker`` is a spec tuple.
 
     See :mod:`repro.study.walkers` for the spec vocabulary.  The spec
@@ -222,80 +318,84 @@ class WalkUnit(
     payload itself carries a version + spec envelope as a second check.
     """
 
-    __slots__ = ()
+    __slots__ = fields = ("walker",)
     kind = "walk"
+    trace = "stream"
+    hit_counter = "walk_hits"
+    miss_counter = "walk_misses"
 
-    def __new__(cls, workload, scale, walker):
-        validate_spec(walker)  # unknown specs fail here, not at compute
-        return super().__new__(cls, workload, scale, walker)
-
-    def descriptor(self):
-        """JSON-able identity for the persistent result store."""
-        return {"kind": self.kind, "walker": spec_jsonable(self.walker)}
+    def __init__(self, workload, scale, walker):
+        super().__init__(workload, scale, validate_spec(walker))
 
     def slug(self):
         """Filename-safe unit name."""
         return "walk-%s" % walker_slug(self.walker)
 
-    def label(self):
-        """Human-readable counter key."""
-        return "%s@%d/%s" % (self.workload, self.scale, self.slug())
+    def compute(self, workload, traces):
+        """One streaming pass of this walker (see :func:`walk`)."""
+        return walk([self], workload, traces)[0]
+
+    def to_payload(self, result):
+        """The versioned, spec-tagged walker envelope."""
+        return wrap_payload(self.walker, result)
+
+    def from_payload(self, payload):
+        """The payload data, checked against this unit's spec."""
+        return unwrap_payload(self.walker, payload)
 
 
-class AnalysisUnit(
-    _UnitIdentity, namedtuple("AnalysisUnit", ("workload", "scale"))
-):
-    """One static-analysis summary (CFG + significance bounds + lints).
+class _ProgramUnit(Unit):
+    """A unit over the *assembled program*, not the trace.
 
-    Unlike every other unit kind this one needs no trace — it analyzes
-    the *assembled program* — so the broker's compute path special-cases
-    it before touching the trace store.  The payload version rides in
-    the descriptor (and in the stored envelope), so summaries from an
-    older analyzer fail closed and recompute.
+    The analysis version rides in the descriptor (and in the stored
+    envelope), so results from an older analyzer fail closed and
+    recompute.
     """
+
+    __slots__ = ()
+    trace = None
+
+    def descriptor(self):
+        """JSON-able identity for the persistent result store."""
+        return {"kind": self.kind, "version": ANALYSIS_VERSION}
+
+
+class AnalysisUnit(_ProgramUnit):
+    """One static-analysis summary (CFG + significance bounds + lints)."""
 
     __slots__ = ()
     kind = "analyze"
 
-    def descriptor(self):
-        """JSON-able identity for the persistent result store."""
-        return {"kind": self.kind, "version": ANALYSIS_VERSION}
+    def compute(self, workload, traces):
+        """Analyze the workload's program."""
+        return analyze_workload(workload, scale=self.scale)
 
-    def slug(self):
-        """Filename-safe unit name."""
-        return "analyze"
+    def to_payload(self, result):
+        """The versioned analysis envelope."""
+        return wrap_analysis_payload(result)
 
-    def label(self):
-        """Human-readable counter key."""
-        return "%s@%d/analyze" % (self.workload, self.scale)
+    def from_payload(self, payload):
+        """The summary from a versioned envelope."""
+        return unwrap_analysis_payload(payload)
 
 
-class TagTableUnit(
-    _UnitIdentity, namedtuple("TagTableUnit", ("workload", "scale"))
-):
-    """One static tag table (per-PC operand widths for ``static-byte``).
-
-    Like :class:`AnalysisUnit` this needs no trace — the table comes
-    from the interprocedural analysis of the *assembled program* — so
-    the broker computes it without touching the trace store.  The
-    analysis version rides in the descriptor and the stored envelope,
-    so tables from an older analyzer fail closed and recompute.
-    """
+class TagTableUnit(_ProgramUnit):
+    """One static tag table (per-PC operand widths for ``static-byte``)."""
 
     __slots__ = ()
     kind = "tags"
 
-    def descriptor(self):
-        """JSON-able identity for the persistent result store."""
-        return {"kind": self.kind, "version": ANALYSIS_VERSION}
+    def compute(self, workload, traces):
+        """Build the tag table from the interprocedural analysis."""
+        return build_tag_table(workload.program(self.scale))
 
-    def slug(self):
-        """Filename-safe unit name."""
-        return "tags"
+    def to_payload(self, result):
+        """The versioned tag-table envelope."""
+        return wrap_tag_payload(result)
 
-    def label(self):
-        """Human-readable counter key."""
-        return "%s@%d/tags" % (self.workload, self.scale)
+    def from_payload(self, payload):
+        """The table from a versioned envelope."""
+        return unwrap_tag_payload(payload)
 
 
 def activity_config(scheme=BYTE_SCHEME, ext_bits_in_memory=False):
@@ -320,22 +420,47 @@ def model_from_config(config):
     )
 
 
-def _result_from_payload(unit, payload):
-    """Deserialize a stored payload for ``unit``; None when unusable."""
+def walk(units, workload, traces):
+    """Payloads of the walk ``units`` (one trace) from one record pass.
+
+    The pass streams when ``traces`` can (see
+    :meth:`~repro.study.session.TraceStore.stream`).  A damaged cache
+    entry surfacing mid-stream poisons the partially fed walkers, so
+    they are all rebuilt and re-fed from the full trace (the stream's
+    own fail-closed handling already removed the entry).  Returns
+    payload data dicts in unit order.
+    """
+    scale = units[0].scale
     try:
-        if isinstance(unit, SimUnit):
-            return PipelineResult.from_dict(payload)
-        if isinstance(unit, ActivityUnit):
-            return ActivityReport.from_dict(payload)
-        if isinstance(unit, WalkUnit):
-            return unwrap_payload(unit.walker, payload)
-        if isinstance(unit, AnalysisUnit):
-            return unwrap_analysis_payload(payload)
-        if isinstance(unit, TagTableUnit):
-            return unwrap_tag_payload(payload)
-        return FetchStatistics.from_dict(payload)
-    except (ValueError, TypeError):
-        return None
+        return _feed(units, resolve_trace(workload, scale, traces, stream=True))
+    except TraceCodecError:
+        return _feed(units, resolve_trace(workload, scale, traces))
+
+
+def _feed(units, records):
+    walkers = [build_walker(unit.walker) for unit in units]
+    feeds = [walker.feed for walker in walkers]
+    for record in records:
+        for feed in feeds:
+            feed(record)
+    return [
+        walker.traced_finish(unit.slug())
+        for walker, unit in zip(walkers, units)
+    ]
+
+
+def resolve(unit, workload, store=None):
+    """The result of ``unit`` over ``workload``.
+
+    With a broker-carrying store (``store.results``) the request goes
+    through the unit scheduler (memoized, persisted, walk units fused);
+    otherwise the unit computes directly over the store's traces, or
+    the workload's own cache when ``store`` is None.
+    """
+    broker = getattr(store, "results", None)
+    if broker is not None:
+        return broker.get(unit, workload)
+    return unit.compute(workload, store)
 
 
 class ResultBroker:
@@ -363,8 +488,8 @@ class ResultBroker:
         self.max_retries = max_retries
         self.unit_timeout = unit_timeout
         #: Pipeline kernel this broker schedules with.  Session-scoped:
-        #: requests and run_units pin it on every SimUnit, so a broker
-        #: never mixes backends no matter what the process default is.
+        #: every SimUnit it schedules is pinned to it, so a broker never
+        #: mixes backends no matter what the process default is.
         self.kernel = kernel if kernel is not None else default_kernel_name()
         #: Memory-hierarchy backend, pinned the same way: part of every
         #: SimUnit identity this broker schedules, so cached results
@@ -377,9 +502,7 @@ class ResultBroker:
         #: The metrics registry every broker instrument lives in —
         #: shared with the trace store's, so one snapshot/merge covers
         #: trace and unit counters alike.
-        self.registry = getattr(trace_store, "registry", None)
-        if self.registry is None:
-            self.registry = MetricsRegistry()
+        self.registry = trace_store.registry
         counter = self.registry.counter
         #: unit label -> count, mirroring TraceStore's counter style.
         self.sim_hits = counter(
@@ -398,8 +521,8 @@ class ResultBroker:
             "result_disk_hits", "units loaded from the persistent store"
         )
         # The per-kernel simulation timing triple, decomposed into three
-        # counters (kernel name -> value); :attr:`sim_seconds` rebuilds
-        # the report's nested shape from them.
+        # counters (kernel name -> value) that SimUnit.compute books;
+        # :attr:`sim_seconds` rebuilds the report's nested shape.
         self._sim_units = counter(
             "sim_units", "computed pipeline simulations per kernel"
         )
@@ -455,21 +578,11 @@ class ResultBroker:
 
     # ------------------------------------------------------------- requests
 
-    def pipeline_result(self, workload, organization, scale=1, variant=None,
-                        kernel=None, hierarchy=None):
-        """Memoized ``simulate(organization, trace)`` for one workload.
-
-        ``kernel`` and ``hierarchy`` default to the broker's own
-        (session-scoped) backends.
-        """
-        if kernel is None:
-            kernel = self.kernel
-        if hierarchy is None:
-            hierarchy = self.hierarchy
-        unit = SimUnit(
-            workload.name, scale, organization, variant, kernel, hierarchy
-        )
-        return self._ensure(unit, workload)
+    def get(self, unit, workload):
+        """Memoized result of one unit: memory → disk → compute."""
+        unit = unit.pin(self.kernel, self.hierarchy)
+        self._run_units([unit], {workload.name: workload}, jobs=1)
+        return self._memo[unit]
 
     def activity_report(self, model, workload, scale=1):
         """Memoized ``model.process(trace)``.
@@ -482,88 +595,27 @@ class ResultBroker:
         if config is None:
             records = self.traces.trace(workload, scale=scale)
             return model.process(records, name=workload.name)
-        unit = ActivityUnit(workload.name, scale, config)
-        return self._ensure(unit, workload)
-
-    def fetch_statistics(self, workload, scale=1):
-        """Memoized default-compressor FetchStatistics for one workload."""
-        unit = FetchUnit(workload.name, scale)
-        return self._ensure(unit, workload)
-
-    def analysis_summary(self, workload, scale=1):
-        """Memoized static-analysis summary of one workload's program."""
-        unit = AnalysisUnit(workload.name, scale)
-        return self._ensure(unit, workload)
-
-    def tag_table(self, workload, scale=1):
-        """Memoized static tag table of one workload's program."""
-        unit = TagTableUnit(workload.name, scale)
-        return self._ensure(unit, workload)
-
-    def walk_payload(self, workload, spec, scale=1):
-        """Memoized payload of one trace walker over one workload."""
-        return self.walk_payloads(workload, (spec,), scale=scale)[0]
-
-    def walk_payloads(self, workload, specs, scale=1):
-        """Memoized payloads for several walkers, fused when pending.
-
-        Every spec's payload falls through memory → disk → compute like
-        any other unit, but all specs that do reach compute share a
-        single streaming pass over the trace — one decode no matter how
-        many walkers a study (or several studies, via :meth:`run_units`)
-        request.  Returns payload data dicts in spec order.
-        """
-        self._register(workload)
-        units = [WalkUnit(workload.name, scale, spec) for spec in specs]
-        pending = []
-        for unit in units:
-            with tracing.span(
-                "unit:%s" % unit.label(), "unit", kind=unit.kind,
-                path="memory",
-            ) as handle:
-                if unit in self._memo:
-                    self._count(self.walk_hits, unit)
-                elif self._load_from_disk(unit, workload) is not None:
-                    handle.note(path="disk")
-                else:
-                    handle.cancel()  # re-observed by the group span below
-                    pending.append(unit)
-        if pending:
-            with tracing.span(
-                "unit:%s@%d/walkgroup" % (workload.name, scale), "unit",
-                kind="walk", path="compute", units=len(pending),
-            ):
-                payloads = self._walk_group(workload, scale, pending)
-            for unit, payload in zip(pending, payloads):
-                self._install(unit, workload, payload)
-        return [self._memo[unit] for unit in units]
+        return self.get(ActivityUnit(workload.name, scale, config), workload)
 
     # ------------------------------------------------------------ scheduling
 
     def run_units(self, units, workloads_by_name, jobs=1):
-        """Execute requested units (deduping them) serially or across
-        forked workers.
+        """Execute requested units (deduping them) serially or on the
+        supervised executor.
 
         Duplicate requests — the same unit declared by several
         experiments, or already memoized — count as :attr:`sim_hits`
-        (:attr:`walk_hits` for walk units) here in the parent, so the
-        dedupe is visible in the JSON report even when the runners later
-        execute in forked workers (whose process-local counters die with
-        the pool).  Disk-warm units load in the parent; only genuinely
-        pending units reach the pool.  Results land in the in-memory
-        memo, so the experiment runners that follow recompute nothing.
+        (:attr:`walk_hits` for walk units).  Disk-warm units load in
+        this process; only genuinely pending units reach the workers.
+        Results land in the in-memory memo, so the experiment runners
+        that follow recompute nothing.  Returns the computed count.
 
-        Pending walk units are fused: one streaming decode pass per
+        Pending stream units are fused: one streaming decode pass per
         ``(workload, scale)`` feeds every walker for that trace, however
         many experiments requested them.  Traces that pending units need
-        as full record lists are materialized here in the parent, exactly
-        once, so forked workers inherit them; a fully warm run therefore
-        touches no trace at all — zero decodes, zero walks.
-
-        Simulation units are re-pinned to the broker's kernel and
-        hierarchy: the experiment specs build them without a session
-        reference, so this is where the session's ``--kernel`` /
-        ``--hierarchy`` choices take effect.
+        as full record lists are materialized here, before any fork and
+        exactly once, so forked workers inherit them; a fully warm run
+        therefore touches no trace at all — zero decodes, zero walks.
         """
         with tracing.span(
             "broker.run_units", "broker", requested=len(units), jobs=jobs
@@ -574,19 +626,13 @@ class ResultBroker:
 
     def _run_units(self, units, workloads_by_name, jobs):
         pending = []
-        walk_groups = {}
+        streams = {}
         seen = set()
         for unit in units:
-            if isinstance(unit, SimUnit) and (
-                unit.kernel != self.kernel
-                or unit.hierarchy != self.hierarchy
-            ):
-                unit = unit._replace(
-                    kernel=self.kernel, hierarchy=self.hierarchy
-                )
+            unit = unit.pin(self.kernel, self.hierarchy)
             if unit in self._memo or unit in seen:
                 # Served by the memo (or by the pending compute below).
-                self._count(self._hit_counter(unit), unit)
+                self._count(unit.hit_counter, unit)
                 with tracing.span(
                     "unit:%s" % unit.label(), "unit", kind=unit.kind,
                     path="memory",
@@ -604,89 +650,73 @@ class ResultBroker:
                 if loaded is None:
                     probe.cancel()  # re-observed as a compute-path span
             if loaded is None:
-                if isinstance(unit, WalkUnit):
-                    walk_groups.setdefault(
+                if unit.trace == "stream":
+                    streams.setdefault(
                         (unit.workload, unit.scale), []
                     ).append(unit)
                 else:
                     pending.append(unit)
-        # Warm, in this process, every trace the pending computes need as
-        # a full list — forked workers then inherit the decoded records
+        # Warm every trace the pending computes need as a full list, in
+        # this process: forked workers then inherit the decoded records
         # instead of each decoding (or worse, simulating) their own copy.
-        # Walk groups stream from the persistent cache when they can; a
-        # group without a streamable entry falls back to the same warm
-        # in-memory list.
-        warmed = set()
-        for unit in pending:
-            if isinstance(unit, (AnalysisUnit, TagTableUnit)):
-                continue  # static analysis never touches a trace
-            key = (unit.workload, unit.scale)
-            if key not in warmed:
-                warmed.add(key)
-                self.traces.trace(workloads_by_name[key[0]], scale=key[1])
-        for key in walk_groups:
-            if key not in warmed and not self.traces.streamable(
+        # Stream groups read the persistent cache when they can; a group
+        # without a streamable entry falls back to the same warm list.
+        warm = [(unit.workload, unit.scale) for unit in pending if unit.trace]
+        warm += [
+            key for key in streams
+            if key not in warm and not self.traces.streamable(
                 workloads_by_name[key[0]], scale=key[1]
-            ):
-                warmed.add(key)
-                self.traces.trace(workloads_by_name[key[0]], scale=key[1])
-        tasks = list(pending)
-        tasks.extend(walk_groups.values())
+            )
+        ]
+        for name, scale in dict.fromkeys(warm):
+            self.traces.trace(workloads_by_name[name], scale=scale)
+        tasks = pending + list(streams.values())
         if jobs > 1 and len(tasks) > 1:
-            timed = self._compute_parallel(tasks, jobs)
+            results = self._compute_parallel(tasks, jobs)
         else:
-            timed = [self._run_task(task) for task in tasks]
+            results = [self._run_task(task) for task in tasks]
         computed = 0
-        for task, (result, seconds) in zip(tasks, timed):
-            if isinstance(task, list):
-                workload = workloads_by_name[task[0].workload]
-                for unit, payload in zip(task, result):
-                    self._install(unit, workload, payload)
-                computed += len(task)
-            else:
-                if seconds is not None:
-                    self._record_sim_time(
-                        task.kernel, task.hierarchy, seconds,
-                        result.instructions,
-                    )
-                self._install(task, workloads_by_name[task.workload], result)
-                computed += 1
+        for task, result in zip(tasks, results):
+            if not isinstance(task, list):
+                task, result = [task], [result]
+            for unit, payload in zip(task, result):
+                self._install(unit, workloads_by_name[unit.workload], payload)
+            computed += len(task)
         return computed
 
     def _run_task(self, task):
         """Compute one scheduling task: a unit, or a fused walk group."""
         if isinstance(task, list):
             first = task[0]
-            workload = self._workload_for(first)
             with tracing.span(
-                "unit:%s@%d/walkgroup" % (first.workload, first.scale),
-                "unit", kind="walk", path="compute", units=len(task),
+                "unit:%s" % self._task_label(task), "unit", kind=first.kind,
+                path="compute", units=len(task),
             ):
-                return self._walk_group(workload, first.scale, task), None
+                return self._walk_group(
+                    self._workloads[first.workload], first.scale, task
+                )
         with tracing.span(
             "unit:%s" % task.label(), "unit", kind=task.kind, path="compute",
         ):
-            return self._compute_timed(task, self._workload_for(task))
+            return task.compute(self._workloads[task.workload], self.traces)
 
     def _shipped_run_task(self, task):
-        # Runs in a forked worker.  A walk group streaming inside a
-        # worker performs real decode work, and the worker's counters
-        # and spans die with it: ship the registry delta (snapshot →
-        # diff) and the recorded events back alongside the result so
-        # the parent's report stays truthful.
+        # Runs in a forked worker.  The worker's counters (decodes, sim
+        # timings) and spans die with it: ship the registry delta
+        # (snapshot → diff) and the recorded events back alongside the
+        # result so the parent's report stays truthful.
         before = self.registry.snapshot()
         tracer = tracing.current_tracer()
         mark = tracer.event_count() if tracer is not None else 0
-        result, seconds = self._run_task(task)
+        result = self._run_task(task)
         events = tracer.events_since(mark) if tracer is not None else []
-        return result, seconds, self.registry.snapshot().diff(before), events
+        return result, self.registry.snapshot().diff(before), events
 
     def _inline_run_task(self, task):
         # The supervisor's quarantine / last-resort path: same payload
-        # shape as _shipped_run_task, but computed in the parent, where
+        # shape as _shipped_run_task, but computed in this process, where
         # counters and spans record directly (hence no delta to merge).
-        result, seconds = self._run_task(task)
-        return result, seconds, None, None
+        return self._run_task(task), None, None
 
     @staticmethod
     def _task_label(task):
@@ -718,53 +748,32 @@ class ResultBroker:
             max_retries=self.max_retries,
             unit_timeout=self.unit_timeout,
         )
-        shipped = executor.run(tasks)
         tracer = tracing.current_tracer()
-        timed = []
-        for result, seconds, delta, events in shipped:
+        results = []
+        for result, delta, events in executor.run(tasks):
             if delta is not None:
                 self.registry.merge(delta)
             if events and tracer is not None:
                 tracer.extend(events)
-            timed.append((result, seconds))
-        return timed
+            results.append(result)
+        return results
+
+    def _walk_group(self, workload, scale, units):
+        """Execute every walker in ``units`` over one streaming pass."""
+        with tracing.span(
+            "walk.group:%s@%d" % (workload.name, scale), "compute",
+            workload=workload.name, scale=scale, walkers=len(units),
+            specs=[unit.slug() for unit in units],
+        ):
+            return walk(units, workload, self.traces)
 
     # -------------------------------------------------------------- internal
 
     def _register(self, workload):
         self._workloads[workload.name] = workload
 
-    def _workload_for(self, unit):
-        return self._workloads[unit.workload]
-
-    def _count(self, counters, unit):
-        label = unit.label()
-        counters[label] = counters.get(label, 0) + 1
-
-    def _hit_counter(self, unit):
-        return self.walk_hits if isinstance(unit, WalkUnit) else self.sim_hits
-
-    def _miss_counter(self, unit):
-        return (
-            self.walk_misses if isinstance(unit, WalkUnit) else self.sim_misses
-        )
-
-    def _ensure(self, unit, workload):
-        self._register(workload)
-        with tracing.span(
-            "unit:%s" % unit.label(), "unit", kind=unit.kind, path="memory",
-        ) as handle:
-            if unit in self._memo:
-                self._count(self._hit_counter(unit), unit)
-                return self._memo[unit]
-            result = self._load_from_disk(unit, workload)
-            if result is not None:
-                handle.note(path="disk")
-                return result
-            handle.note(path="compute")
-            result = self._compute(unit, workload)
-            self._install(unit, workload, result)
-            return result
+    def _count(self, counter_name, unit):
+        self.registry.get(counter_name).inc(unit.label())
 
     def _load_from_disk(self, unit, workload):
         """Memoize a persisted result; None when absent or unusable."""
@@ -773,222 +782,23 @@ class ResultBroker:
         payload = self.store.load(workload, unit)
         if payload is None:
             return None
-        result = _result_from_payload(unit, payload)
-        if result is None:
+        try:
+            result = unit.from_payload(payload)
+        except (ValueError, TypeError):
             return None
         self._memo[unit] = result
-        self._count(self.disk_hits, unit)
+        self._count("result_disk_hits", unit)
         return result
-
-    def _compute(self, unit, workload):
-        """Run one unit (no memo, no disk, no hit counters): pure compute.
-
-        Pipeline simulations book their wall time into
-        :attr:`sim_seconds` under their kernel name — the per-kernel
-        throughput counter the JSON report exposes.
-        """
-        result, seconds = self._compute_timed(unit, workload)
-        if seconds is not None:
-            self._record_sim_time(
-                unit.kernel, unit.hierarchy, seconds, result.instructions
-            )
-        return result
-
-    def _walk_group(self, workload, scale, units):
-        """Execute every walker in ``units`` over one streaming pass.
-
-        The record stream prefers the persistent cache's compressed file
-        (no full-list materialization); a damaged entry surfacing
-        mid-stream poisons the partially fed walkers, so they are all
-        rebuilt and re-fed from a freshly materialized trace (the
-        damaged cache entry was already removed by the stream's own
-        fail-closed handling).  Returns payload data dicts in unit order.
-        """
-        with tracing.span(
-            "walk.group:%s@%d" % (workload.name, scale), "compute",
-            workload=workload.name, scale=scale, walkers=len(units),
-            specs=[unit.slug() for unit in units],
-        ):
-            walkers = [build_walker(unit.walker) for unit in units]
-            try:
-                feeds = [walker.feed for walker in walkers]
-                for record in self.traces.stream(workload, scale=scale):
-                    for feed in feeds:
-                        feed(record)
-            except TraceCodecError:
-                walkers = [build_walker(unit.walker) for unit in units]
-                feeds = [walker.feed for walker in walkers]
-                for record in self.traces.trace(workload, scale=scale):
-                    for feed in feeds:
-                        feed(record)
-            return [
-                walker.traced_finish(unit.slug())
-                for walker, unit in zip(walkers, units)
-            ]
-
-    def _compute_timed(self, unit, workload):
-        """``(result, sim seconds or None)`` for one unit, counter-free.
-
-        The timing travels with the result so forked unit workers can
-        report it back to the parent (their own counters die with the
-        pool); ``None`` marks the non-simulation unit kinds.
-        """
-        if isinstance(unit, AnalysisUnit):
-            # Static analysis runs over the assembled program; fetching
-            # (or worse, simulating) a trace here would be pure waste.
-            return analyze_workload(workload, scale=unit.scale), None
-        if isinstance(unit, TagTableUnit):
-            # Same discipline: the tag table is a pure function of the
-            # assembled program, so no trace is touched either.
-            return build_tag_table(workload.program(unit.scale)), None
-        records = self.traces.trace(workload, scale=unit.scale)
-        if isinstance(unit, SimUnit):
-            organization = get_organization(unit.organization)
-            predictor = (
-                BimodalPredictor() if unit.variant == BIMODAL_VARIANT else None
-            )
-            pipeline = InOrderPipeline(
-                organization, predictor=predictor, kernel=unit.kernel,
-                hierarchy=unit.hierarchy,
-            )
-            with tracing.span(
-                "pipeline.run:%s" % unit.label(), "compute",
-                kernel=unit.kernel, hierarchy=unit.hierarchy,
-                organization=unit.organization, workload=unit.workload,
-            ) as handle:
-                result = pipeline.run(records)
-            return result, handle.seconds
-        if isinstance(unit, ActivityUnit):
-            report = model_from_config(unit.config).process(
-                records, name=workload.name
-            )
-            return report, None
-        stats = FetchStatistics()
-        for record in records:
-            stats.record(record.instr)
-        return stats, None
-
-    def _record_sim_time(self, kernel, hierarchy, seconds, instructions):
-        self._sim_units.inc(kernel)
-        self._sim_compute_seconds.inc(kernel, seconds)
-        self._sim_instructions.inc(kernel, instructions)
-        self.hierarchy_seconds.inc(hierarchy, seconds)
 
     def _install(self, unit, workload, result):
         """Memoize a freshly computed result and write it back to disk."""
         self._memo[unit] = result
-        self._count(self._miss_counter(unit), unit)
+        self._count(unit.miss_counter, unit)
         if self.store is not None:
-            if isinstance(unit, WalkUnit):
-                payload = wrap_payload(unit.walker, result)
-            elif isinstance(unit, AnalysisUnit):
-                payload = wrap_analysis_payload(result)
-            elif isinstance(unit, TagTableUnit):
-                payload = wrap_tag_payload(result)
-            else:
-                payload = result.to_dict()
-            self.store.store(workload, unit, payload)
+            self.store.store(workload, unit, unit.to_payload(result))
 
     def __repr__(self):
         return "ResultBroker(%d memoized, %d computed)" % (
             len(self._memo),
             sum(self.sim_misses.values()) + sum(self.walk_misses.values()),
         )
-
-
-# ----------------------------------------------- store-or-fallback helpers
-
-
-def _records(workload, scale, store):
-    """Trace records via the store when given, else the workload cache."""
-    if store is None:
-        return workload.trace(scale=scale)
-    return store.trace(workload, scale=scale)
-
-
-def resolve_pipeline_result(workload, scale, organization, store=None,
-                            variant=None, kernel=None, hierarchy=None):
-    """A (memoized, when possible) PipelineResult for one unit.
-
-    With a broker-carrying store (``store.results``) the request goes
-    through the unit scheduler; otherwise it simulates directly, exactly
-    as the pre-subsystem imperative call sites did.  ``kernel`` names a
-    simulation backend and ``hierarchy`` a memory-hierarchy backend
-    (defaults: the process-default kernel and hierarchy).
-    """
-    broker = getattr(store, "results", None) if store is not None else None
-    if broker is not None:
-        return broker.pipeline_result(
-            workload, organization, scale=scale, variant=variant,
-            kernel=kernel, hierarchy=hierarchy,
-        )
-    records = _records(workload, scale, store)
-    org = get_organization(organization)
-    predictor = BimodalPredictor() if variant == BIMODAL_VARIANT else None
-    return InOrderPipeline(
-        org, predictor=predictor, kernel=kernel, hierarchy=hierarchy
-    ).run(records)
-
-
-def resolve_activity_report(model, workload, scale, store=None):
-    """A (memoized, when possible) ActivityReport for one workload."""
-    broker = getattr(store, "results", None) if store is not None else None
-    if broker is not None:
-        return broker.activity_report(model, workload, scale=scale)
-    return model.process(_records(workload, scale, store), name=workload.name)
-
-
-def resolve_fetch_statistics(workload, scale, store=None):
-    """(Memoized, when possible) default-compressor fetch statistics."""
-    broker = getattr(store, "results", None) if store is not None else None
-    if broker is not None:
-        return broker.fetch_statistics(workload, scale=scale)
-    stats = FetchStatistics()
-    for record in _records(workload, scale, store):
-        stats.record(record.instr)
-    return stats
-
-
-def resolve_analysis_summary(workload, scale=1, store=None):
-    """(Memoized, when possible) static-analysis summary for a workload."""
-    broker = getattr(store, "results", None) if store is not None else None
-    if broker is not None:
-        return broker.analysis_summary(workload, scale=scale)
-    return analyze_workload(workload, scale=scale)
-
-
-def resolve_tag_table(workload, scale=1, store=None):
-    """(Memoized, when possible) static tag table for a workload."""
-    broker = getattr(store, "results", None) if store is not None else None
-    if broker is not None:
-        return broker.tag_table(workload, scale=scale)
-    return build_tag_table(workload.program(scale))
-
-
-def resolve_walk_payload(workload, spec, scale, store=None):
-    """(Memoized, when possible) payload of one trace walker.
-
-    With a broker-carrying store the payload comes from the unit
-    scheduler (fused with other pending walkers, persisted); otherwise
-    a fresh walker streams the workload's records directly — still one
-    single pass, without materializing a record list when the store can
-    stream from disk.
-    """
-    broker = getattr(store, "results", None) if store is not None else None
-    if broker is not None:
-        return broker.walk_payload(workload, spec, scale=scale)
-    if store is None:
-        walker = build_walker(spec)
-        for record in workload.trace(scale=scale):
-            walker.feed(record)
-        return walker.finish()
-    walker = build_walker(spec)
-    try:
-        for record in store.stream(workload, scale=scale):
-            walker.feed(record)
-    except TraceCodecError:
-        # Damaged cache entry mid-stream: the partial state is poisoned.
-        walker = build_walker(spec)
-        for record in store.trace(workload, scale=scale):
-            walker.feed(record)
-    return walker.finish()

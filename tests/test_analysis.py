@@ -305,12 +305,12 @@ def test_broker_tag_table_unit_is_distinct_from_analysis_unit():
 
     workload = get_workload("synth_small")
     broker = ResultBroker(TraceStore())
-    summary = broker.analysis_summary(workload)
-    table = broker.tag_table(workload)
+    summary = broker.get(AnalysisUnit(workload.name, 1), workload)
+    table = broker.get(TagTableUnit(workload.name, 1), workload)
     assert isinstance(summary, dict)
     assert isinstance(table, TagTable)
     # Memoized on repeat, still the right object.
-    assert broker.tag_table(workload) is table
+    assert broker.get(TagTableUnit(workload.name, 1), workload) is table
 
 
 def test_check_invariants_tool_passes():

@@ -232,6 +232,8 @@ class TestKernelKeying:
             "kernel": TABULAR_KERNEL,
             "hierarchy": MEMO_HIERARCHY,
         }
+        assert unit.slug() == "baseline32+bimodal"
+        assert unit.label() == "w@1/baseline32+bimodal"
 
     def test_store_entries_do_not_mix_kernels(self, tmp_path):
         workload = Workload(

@@ -25,9 +25,12 @@ from repro.study.result_store import ResultStore
 from repro.study.scheduler import (
     BIMODAL_VARIANT,
     ActivityUnit,
+    AnalysisUnit,
     FetchUnit,
     ResultBroker,
     SimUnit,
+    TagTableUnit,
+    WalkUnit,
     activity_config,
 )
 from repro.study.session import ExperimentSession, TraceStore
@@ -311,11 +314,12 @@ class TestBrokerDedupe:
         store_root = tmp_path / "results"
         cold = ResultBroker(TraceStore(), ResultStore(store_root))
         fresh = {
-            name: cold.pipeline_result(synth, name) for name in ORGANIZATION_NAMES
+            name: cold.get(SimUnit(synth.name, 1, name), synth)
+            for name in ORGANIZATION_NAMES
         }
         warm = ResultBroker(TraceStore(), ResultStore(store_root))
         for name in ORGANIZATION_NAMES:
-            cached = warm.pipeline_result(synth, name)
+            cached = warm.get(SimUnit(synth.name, 1, name), synth)
             assert cached is not fresh[name]
             assert cached == fresh[name], name
         assert warm.sim_misses == {}
@@ -333,6 +337,68 @@ class TestBrokerDedupe:
         assert model.config_key() == config
         unit = ActivityUnit("w", 1, config)
         assert unit.descriptor()["config"] == list(config)
+
+    @pytest.mark.parametrize("unit, descriptor, slug, label", [
+        (
+            SimUnit("rawcaudio", 1, "baseline32", None, "tabular", "memo"),
+            {"kind": "pipeline", "organization": "baseline32",
+             "variant": None, "kernel": "tabular", "hierarchy": "memo"},
+            "baseline32",
+            "rawcaudio@1/baseline32",
+        ),
+        (
+            SimUnit("synth_small", 2, "byte_serial", BIMODAL_VARIANT,
+                    "reference", "reference"),
+            {"kind": "pipeline", "organization": "byte_serial",
+             "variant": "bimodal", "kernel": "reference",
+             "hierarchy": "reference"},
+            "byte_serial+bimodal",
+            "synth_small@2/byte_serial+bimodal",
+        ),
+        (
+            ActivityUnit("rawcaudio", 1, ("byte3", 8, 4, True)),
+            {"kind": "activity", "config": ["byte3", 8, 4, True]},
+            "activity-byte3-pc8-mem",
+            "rawcaudio@1/activity-byte3-pc8-mem",
+        ),
+        (
+            FetchUnit("rawcaudio", 1),
+            {"kind": "fetch"},
+            "fetch",
+            "rawcaudio@1/fetch",
+        ),
+        (
+            WalkUnit("rawcaudio", 1, ("pc", (1, 2, 4, 8, 16, 32))),
+            {"kind": "walk", "walker": ["pc", [1, 2, 4, 8, 16, 32]]},
+            "walk-pc1-2-4-8-16-32",
+            "rawcaudio@1/walk-pc1-2-4-8-16-32",
+        ),
+        (
+            WalkUnit("synth_small", 1, ("segment_bits", ((8, 8, 16), (8, 24)))),
+            {"kind": "walk",
+             "walker": ["segment_bits", [[8, 8, 16], [8, 24]]]},
+            "walk-segbits-8x8x16-8x24",
+            "synth_small@1/walk-segbits-8x8x16-8x24",
+        ),
+        (
+            AnalysisUnit("rawcaudio", 1),
+            {"kind": "analyze", "version": 2},
+            "analyze",
+            "rawcaudio@1/analyze",
+        ),
+        (
+            TagTableUnit("rawcaudio", 3),
+            {"kind": "tags", "version": 2},
+            "tags",
+            "rawcaudio@3/tags",
+        ),
+    ], ids=lambda value: getattr(value, "kind", None))
+    def test_unit_names_are_frozen(self, unit, descriptor, slug, label):
+        # Store keys and counter labels must not move: these literals
+        # are the pre-Unit-base names of every kind.
+        assert json.dumps(unit.descriptor()) == json.dumps(descriptor)
+        assert unit.slug() == slug
+        assert unit.label() == label
 
 
 # ------------------------------------------------------------ CLI and session

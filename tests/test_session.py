@@ -115,6 +115,27 @@ class TestExperimentSession:
             count == 1 for count in parallel.store.materializations.values()
         )
 
+    def test_rendering_after_prepare_units_does_no_work(self, tmp_path):
+        # What makes serial rendering free: once prepare_units has run,
+        # every canonical experiment renders from the in-memory memo —
+        # no store loads, no computes, no decodes — whether prepare
+        # computed the units (cold store) or loaded them (warm store).
+        names = canonical_experiment_ids()
+        watched = (
+            "result_disk_hits", "sim_misses", "walk_misses",
+            "trace_decode_misses",
+        )
+        for _state in ("cold", "warm"):
+            session = ExperimentSession(
+                workloads=FAST[:1], cache_dir=str(tmp_path)
+            )
+            session.prepare_units(names)
+            before = {name: dict(session.registry.get(name)) for name in watched}
+            for name in names:
+                session.run_one(name)
+            after = {name: dict(session.registry.get(name)) for name in watched}
+            assert after == before
+
     def test_run_iter_streams_same_results_as_run(self):
         session = ExperimentSession(workloads=FAST)
         batched = session.run(["table1", "table2"])

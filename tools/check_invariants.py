@@ -38,8 +38,7 @@ Two documentation invariants ride along:
 6. **Scheme registration** — every compression scheme registered in
    ``repro.core.compress.SCHEME_REGISTRY`` must also be soundness
    cross-checked (a member of ``crosscheck.DEFAULT_SCHEMES``) and
-   surfaced by ``repro list`` (the CLI references ``scheme_names``);
-   every legacy ``extension.SCHEMES`` name must be in the registry.  A
+   surfaced by ``repro list`` (the CLI references ``scheme_names``).  A
    scheme that is registered but never cross-checked could silently
    under-claim bits in every table it appears in.
 
@@ -697,20 +696,6 @@ def _assigned_dict_string_keys(tree, name):
     return None
 
 
-def _assigned_dict_value_names(tree, name):
-    """Identifier names among a ``NAME = {...}`` dict literal's values."""
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            if name in targets and isinstance(node.value, ast.Dict):
-                return tuple(
-                    value.id
-                    for value in node.value.values
-                    if isinstance(value, ast.Name)
-                )
-    return None
-
-
 def check_registered_schemes(errors):
     """Invariant 6: registered schemes are cross-checked and listed."""
     registry_path = "src/repro/core/compress.py"
@@ -746,26 +731,6 @@ def check_registered_schemes(errors):
                 "%s: DEFAULT_SCHEMES names %r but SCHEME_REGISTRY does "
                 "not register it" % (crosscheck_path, name)
             )
-    # The legacy extension.SCHEMES table keys by ``X.name`` attribute, so
-    # compare the singleton identifiers its values reference instead:
-    # every legacy scheme object must also be a registry value.
-    legacy = _assigned_dict_value_names(
-        _parse("src/repro/core/extension.py"), "SCHEMES"
-    )
-    registry_values = _assigned_dict_value_names(
-        _parse(registry_path), "SCHEME_REGISTRY"
-    )
-    if legacy is None:
-        errors.append(
-            "src/repro/core/extension.py: SCHEMES is not a dict literal"
-        )
-    elif registry_values is not None:
-        for name in legacy:
-            if name not in registry_values:
-                errors.append(
-                    "src/repro/core/extension.py: scheme singleton %s is "
-                    "absent from compress.SCHEME_REGISTRY" % name
-                )
     if not _references_name(_parse("src/repro/cli.py"), "scheme_names"):
         errors.append(
             "src/repro/cli.py: `repro list` no longer references "
