@@ -11,6 +11,7 @@ trace-walk studies cold vs warm, serial vs parallel scheduling of
 independent experiments over a shared, pre-materialized TraceStore,
 raw simulation throughput per registered pipeline kernel (the
 reference-vs-tabular speedup lands in the benchmark JSON artifact),
+activity-model throughput (records per second),
 hierarchy-classification throughput per registered memory-hierarchy
 backend (the reference-vs-memo speedup, same artifact), and static
 tag-table build throughput with the static-byte vs byte2 stored-bits
@@ -22,8 +23,14 @@ import time
 
 import pytest
 
+from repro.core.extension import HALFWORD_SCHEME
 from repro.obs.metrics import MetricsRegistry
-from repro.pipeline import InOrderPipeline, get_organization, kernel_names
+from repro.pipeline import (
+    ActivityModel,
+    InOrderPipeline,
+    get_organization,
+    kernel_names,
+)
 from repro.sim import tracefile
 from repro.sim.hierarchy_model import get_hierarchy, hierarchy_names
 from repro.study.session import ExperimentSession, TraceStore
@@ -163,6 +170,30 @@ def test_kernel_sim_throughput(benchmark, kernel):
         benchmark, kernel=kernel, instructions_per_round=instructions
     )
     assert instructions > 0
+
+
+def test_activity_throughput(benchmark):
+    # Activity-model passes per second: every round runs the byte and
+    # halfword models over each CI-set trace.  The traces are plain
+    # lists, so each pass also builds its own significance layer and
+    # order columns — the full cost of one uncached activity unit.
+    traces = _kernel_bench_traces()
+    models = [ActivityModel(), ActivityModel(scheme=HALFWORD_SCHEME)]
+
+    def run():
+        records = 0
+        for model in models:
+            for trace in traces:
+                records += model.process(trace).instructions
+        return records
+
+    records = benchmark.pedantic(run, rounds=3, iterations=1)
+    _metrics_extra_info(
+        benchmark,
+        records_per_round=records,
+        records_per_second=round(records / benchmark.stats.stats.mean),
+    )
+    assert records > 0
 
 
 @pytest.mark.parametrize("hierarchy", hierarchy_names())

@@ -20,14 +20,30 @@ latches        inter-stage latch bits (instruction, operands, results)
 
 Line fills are charged at the line size scaled by the running average
 compression ratio of accessed data words (the trace does not expose
-whole-line contents; the approximation is documented in DESIGN.md).
+whole-line contents; the approximation is documented in
+docs/ARCHITECTURE.md, "Activity-model approximations").
+
+Every count except the tag compares, the line fills and the PC is a
+property of a record's significance signature alone, so
+:meth:`ActivityModel.process` is a count-weighted reduction over the
+trace's distinct signatures (:mod:`repro.pipeline.siginfo`).  The tag
+compares depend on the address, and the fills (charged at the
+*running* ratio) and the block-serial PC on record order; all three
+read scheme-independent columns shared per trace.
 """
+
+from itertools import accumulate, compress
 
 from repro.core.extension import BYTE_SCHEME
 from repro.core.icompress import InstructionCompressor
 from repro.core.pc import BlockSerialPC
-from repro.pipeline.siginfo import alu_activity
-from repro.sim.hierarchy import MemoryHierarchy
+from repro.pipeline.siginfo import (
+    l1d_fill_column,
+    pc_transitions,
+    significance_layer,
+    static_significance_layer,
+)
+from repro.sim.hierarchy import PAPER_HIERARCHY
 
 STAGES = (
     "fetch",
@@ -128,6 +144,20 @@ def _average_report(name, reports):
     return ActivityReport(name, baseline, compressed, total)
 
 
+def _pc_bits(transitions, block_bits):
+    """Bits a ``block_bits`` block-serial PC operates replaying ``transitions``."""
+    increments, redirects = transitions
+    model = BlockSerialPC(block_bits=block_bits)
+    touched = 0
+    for state, count in increments.items():
+        model.pc = state
+        touched += count * model.increment()
+    for (state, target), count in redirects.items():
+        model.pc = state
+        touched += count * model.redirect(target)
+    return touched * block_bits
+
+
 class ActivityModel:
     """Computes an :class:`ActivityReport` for a trace."""
 
@@ -181,179 +211,114 @@ class ActivityModel:
 
     def process(self, records, name="trace"):
         """Count baseline and compressed activity over ``records``."""
+        if not isinstance(records, list):
+            records = list(records)
         scheme = self.scheme
         block_bits = scheme.block_bits
         ext_bits = scheme.num_ext_bits
         static = self.static_tags
-        hierarchy = MemoryHierarchy(self.hierarchy_config)
-        pc_model = BlockSerialPC(block_bits=self.pc_block_bits)
+        if static is None:
+            layer = significance_layer(records, scheme)
+            unit_bits, value_ext_bits = block_bits, ext_bits
+        else:
+            # Static widths are bytes and move no extension bits.
+            layer = static_significance_layer(records, static)
+            unit_bits, value_ext_bits = 8, 0
         baseline = {stage: 0 for stage in STAGES}
         compressed = {stage: 0 for stage in STAGES}
-        data_bits_accessed = 0
-        data_words_accessed = 0
-        count = 0
-        previous_pc = None
-        l1d = hierarchy.l1d.config
-        tag_bits = 32 - (l1d.num_sets.bit_length() - 1) - (
-            l1d.line_bytes.bit_length() - 1
-        )
-        for record in records:
-            count += 1
-            instr = record.instr
+        fetch_bits_of = self.compressor.fetch_bits
+        # Per signature: bits its data access moves, and whether it has one.
+        access_bits_of = []
+        is_access = []
+        for signature, example, count in zip(
+            layer.signatures, layer.examples, layer.counts
+        ):
+            instr = example.instr
+            fetch_bits = fetch_bits_of(instr)
+            read_bits = (
+                signature.src_sum * unit_bits
+                + signature.reads * value_ext_bits
+            )
+            result_bits = (
+                signature.result_blocks * unit_bits + value_ext_bits
+                if signature.has_write
+                else 0
+            )
+            value_bits = 0
+            if signature.has_mem:
+                value_bits = min(
+                    signature.mem_value_blocks * unit_bits,
+                    8 * signature.mem_size,
+                ) + value_ext_bits
+                baseline["dcache_data"] += 32 * count  # word-wide data array
+                compressed["dcache_data"] += value_bits * count
+            access_bits_of.append(value_bits)
+            is_access.append(1 if signature.has_mem else 0)
+            baseline["fetch"] += 32 * count
+            compressed["fetch"] += fetch_bits * count
+            baseline["rf_read"] += 32 * signature.reads * count
+            compressed["rf_read"] += read_bits * count
+            if signature.has_write and instr.destination_register() is not None:
+                baseline["rf_write"] += 32 * count
+                compressed["rf_write"] += result_bits * count
+            if signature.alu_blocks is not None:
+                baseline["alu"] += 32 * count
+                compressed["alu"] += signature.alu_blocks * unit_bits * count
+            baseline["pc"] += 32 * count
+            baseline["latches"] += 32 * (
+                1 + signature.reads + signature.has_write + signature.has_mem
+            ) * count
+            compressed["latches"] += (
+                fetch_bits + read_bits + result_bits + value_bits
+            ) * count
 
-            # ------------------------------------------------------ fetch
-            hierarchy.access_instruction(record.pc)
-            fetch_bits = self.compressor.fetch_bits(instr)
-            baseline["fetch"] += 32
-            compressed["fetch"] += fetch_bits
-
-            # ---------------------------------------------------- rf read
-            read_bits = 0
+        l1d = (self.hierarchy_config or PAPER_HIERARCHY).l1d
+        column = l1d_fill_column(records, l1d)
+        tag_bits = column.tag_bits
+        # Tag compare: insignificant tag bytes are replaced by an
+        # extension-bit comparison, but the physical array never exceeds
+        # the baseline tag width — savings are negligible for realistic
+        # (high) addresses, as the paper reports.  The static analysis
+        # does not bound addresses at all, so under static tags the
+        # compare stays at baseline width.
+        for tag, count in column.tags.items():
+            baseline["dcache_tag"] += tag_bits * count
             if static is not None:
-                for index in range(len(record.read_values)):
-                    read_bits += 8 * static.read_bytes(record.pc, index)
+                compressed["dcache_tag"] += tag_bits * count
             else:
-                for value in record.read_values:
-                    read_bits += (
-                        scheme.significant_blocks(value) * block_bits + ext_bits
-                    )
-            baseline["rf_read"] += 32 * len(record.read_values)
-            compressed["rf_read"] += read_bits
-
-            # --------------------------------------------------- rf write
-            if record.write_value is not None and instr.destination_register() is not None:
-                baseline["rf_write"] += 32
-                if static is not None:
-                    compressed["rf_write"] += 8 * static.write_bytes(record.pc)
-                else:
-                    compressed["rf_write"] += (
-                        scheme.significant_blocks(record.write_value) * block_bits
-                        + ext_bits
-                    )
-
-            # -------------------------------------------------------- alu
-            if static is not None:
-                # A statically tagged ALU is sized once per instruction
-                # address: its widest proven source operand.
-                if record.alu_kind is not None:
-                    baseline["alu"] += 32
-                    widest = max(
-                        (
-                            static.read_bytes(record.pc, index)
-                            for index in range(len(record.read_values))
-                        ),
-                        default=1,
-                    )
-                    compressed["alu"] += 8 * max(1, widest)
-            else:
-                result = alu_activity(record, scheme)
-                if result is not None:
-                    baseline["alu"] += 32
-                    compressed["alu"] += result.bits_operated
-                elif record.alu_kind in ("mult", "div", "lui"):
-                    baseline["alu"] += 32
-                    a_blocks = scheme.significant_blocks(record.alu_a)
-                    b_blocks = scheme.significant_blocks(record.alu_b)
-                    compressed["alu"] += max(a_blocks, b_blocks) * block_bits
-
-            # ----------------------------------------------------- d-cache
-            mem_value_bits = 0
-            if record.mem_addr is not None:
-                access = hierarchy.access_data(
-                    record.mem_addr, is_store=record.mem_is_store
+                tag_stored = (
+                    scheme.significant_blocks(tag) * block_bits + ext_bits
                 )
-                access_bits = 8 * record.mem_size
-                if static is not None:
-                    # Loads deliver the memory value to the destination
-                    # register (static bound: the write tag); stores
-                    # carry a source register already covered by the
-                    # read tags.
-                    if record.mem_is_store:
-                        value_bytes = max(
-                            (
-                                static.read_bytes(record.pc, index)
-                                for index in range(len(record.read_values))
-                            ),
-                            default=4,
-                        )
-                    else:
-                        value_bytes = static.write_bytes(record.pc)
-                    value_bits = min(8 * value_bytes, access_bits)
-                else:
-                    value_blocks = scheme.significant_blocks(record.mem_value)
-                    value_bits = (
-                        min(value_blocks * block_bits, access_bits) + ext_bits
-                    )
-                baseline["dcache_data"] += 32  # word-wide data array access
-                compressed["dcache_data"] += value_bits
-                mem_value_bits = value_bits
-                data_bits_accessed += value_bits
-                data_words_accessed += 1
-                # Tag compare: insignificant tag bytes are replaced by an
-                # extension-bit comparison, but the physical array never
-                # exceeds the baseline tag width — savings are negligible
-                # for realistic (high) addresses, as the paper reports.
-                # The static analysis does not bound addresses at all, so
-                # under static tags the compare stays at baseline width.
-                baseline["dcache_tag"] += tag_bits
-                if static is not None:
-                    compressed["dcache_tag"] += tag_bits
-                else:
-                    tag_value = record.mem_addr >> (32 - tag_bits)
-                    tag_stored = (
-                        scheme.significant_blocks(tag_value) * block_bits
-                        + ext_bits
-                    )
-                    compressed["dcache_tag"] += min(tag_bits, tag_stored)
-                # Line fill traffic, scaled by the running compression ratio.
-                if access.l1_fill:
-                    line_bits = 8 * l1d.line_bytes
-                    baseline["dcache_data"] += line_bits
-                    if data_words_accessed:
-                        ratio = data_bits_accessed / (32.0 * data_words_accessed)
-                    else:
-                        ratio = 1.0
-                    fill_bits = int(line_bits * min(1.0, ratio))
-                    if self.ext_bits_in_memory:
-                        # Memory already stores the compressed form, so the
-                        # fill also skips regenerating the extension bits:
-                        # model a further reduction by the ext-bit share.
-                        words_per_line = l1d.line_bytes // 4
-                        fill_bits = max(
-                            fill_bits - words_per_line * ext_bits,
-                            words_per_line * (block_bits + ext_bits),
-                        )
-                    compressed["dcache_data"] += fill_bits
+                compressed["dcache_tag"] += min(tag_bits, tag_stored) * count
 
-            # --------------------------------------------------------- pc
-            baseline["pc"] += 32
-            if previous_pc is not None and record.pc != previous_pc + 4:
-                pc_model.redirect(record.pc)
-            else:
-                pc_model.increment()
-            previous_pc = record.pc
+        # Line fill traffic, scaled by the running compression ratio of
+        # the data words accessed up to and including the filling one.
+        line_bits = 8 * l1d.line_bytes
+        words_per_line = l1d.line_bytes // 4
+        bits_so_far = compress(
+            accumulate(map(access_bits_of.__getitem__, layer.ids)), column.fills
+        )
+        words_so_far = compress(
+            accumulate(map(is_access.__getitem__, layer.ids)), column.fills
+        )
+        for data_bits_accessed, data_words_accessed in zip(
+            bits_so_far, words_so_far
+        ):
+            baseline["dcache_data"] += line_bits
+            ratio = data_bits_accessed / (32.0 * data_words_accessed)
+            fill_bits = int(line_bits * min(1.0, ratio))
+            if self.ext_bits_in_memory:
+                # Memory already stores the compressed form, so the fill
+                # also skips regenerating the extension bits: model a
+                # further reduction by the ext-bit share.
+                fill_bits = max(
+                    fill_bits - words_per_line * ext_bits,
+                    words_per_line * (block_bits + ext_bits),
+                )
+            compressed["dcache_data"] += fill_bits
 
-            # ---------------------------------------------------- latches
-            result_bits = 0
-            if record.write_value is not None:
-                if static is not None:
-                    result_bits = 8 * static.write_bytes(record.pc)
-                else:
-                    result_bits = (
-                        scheme.significant_blocks(record.write_value) * block_bits
-                        + ext_bits
-                    )
-            latch_compressed = fetch_bits + read_bits + result_bits + mem_value_bits
-            latch_baseline = 32 + 32 * len(record.read_values)
-            if record.write_value is not None:
-                latch_baseline += 32
-            if record.mem_addr is not None:
-                latch_baseline += 32
-            baseline["latches"] += latch_baseline
-            compressed["latches"] += latch_compressed
-
-        compressed["pc"] = pc_model.bits_operated
-        return ActivityReport(name, baseline, compressed, count)
+        compressed["pc"] = _pc_bits(pc_transitions(records), self.pc_block_bits)
+        return ActivityReport(name, baseline, compressed, len(records))
 
     def suite_reports(self, workloads, scale=1, store=None):
         """Per-workload reports plus the AVG row, like Tables 5 and 6.

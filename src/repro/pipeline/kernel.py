@@ -30,13 +30,14 @@ Two backends ship:
 * ``reference`` — the original fused loop, relocated verbatim from
   ``InOrderPipeline.run``.  Its ``expand`` is a pass-through (the
   expansion happens inline, per record); it is the semantics oracle.
-* ``tabular`` — precomputes the whole :class:`ExpandedTrace` in one
-  pass, memoizing the significance work per unique instruction word,
-  operand value and ALU operation (traces revisit the same static
-  instructions thousands of times, and operand values repeat heavily —
-  that regularity is the paper's own premise), then runs a tightened
-  recurrence over local variables with no per-record attribute lookups
-  or dict churn.  Field-wise result equality with ``reference`` is
+* ``tabular`` — expands over the trace's shared significance layer
+  (:func:`repro.pipeline.siginfo.significance_layer`): the
+  organization's hooks run once per *distinct* significance signature,
+  not once per record (traces revisit the same static instructions
+  with the same narrow values — the paper's own premise).  Its
+  recurrence looks each record's timing up by signature id and keeps
+  stage clocks, stall counters and register readiness in local
+  variables.  Field-wise result equality with ``reference`` is
   enforced by the differential test suite.
 
 Kernels register by name (:func:`register_kernel`); callers select one
@@ -49,7 +50,7 @@ so cached results never mix backends.
 from repro.obs import tracing
 from repro.pipeline.base import PipelineResult
 from repro.pipeline.organizations import Organization
-from repro.pipeline.siginfo import SigInfo, alu_activity, compute_siginfo
+from repro.pipeline.siginfo import SigInfo, compute_siginfo, significance_layer
 from repro.registry import Registry
 
 #: Environment variable naming the default kernel for a process.
@@ -73,25 +74,28 @@ DEFAULT_KERNEL = TABULAR_KERNEL
 class ExpandedTrace:
     """Semantic expansion of one trace under one organization.
 
-    ``rows`` holds one plain tuple per record (see
-    :meth:`TabularKernel.expand` for the layout) and ``stage_excess``
-    the summed beyond-one-cycle occupancy per stage; the ``reference``
-    kernel leaves both ``None`` and expands inline.  ``records`` and
-    ``organization`` are always present, so either kernel can consume
-    its own expansion.
+    ``ids`` holds one signature id per record and ``timings[id]`` that
+    signature's timing tuple (see :meth:`TabularKernel.expand` for the
+    layout); ``stage_excess`` is the summed beyond-one-cycle occupancy
+    per stage.  The ``reference`` kernel leaves all three ``None`` and
+    expands inline.  ``records`` and ``organization`` are always
+    present, so either kernel can consume its own expansion.
     """
 
-    __slots__ = ("organization", "records", "count", "rows", "stage_excess")
+    __slots__ = ("organization", "records", "ids", "timings", "stage_excess")
 
-    def __init__(self, organization, records, rows=None, stage_excess=None,
-                 count=None):
+    def __init__(self, organization, records, ids=None, timings=None,
+                 stage_excess=None):
         self.organization = organization
         self.records = records
-        self.rows = rows
+        self.ids = ids
+        self.timings = timings
         self.stage_excess = stage_excess
-        self.count = count if count is not None else (
-            len(rows) if rows is not None else None
-        )
+
+    @property
+    def count(self):
+        """Records expanded, or ``None`` for a pass-through expansion."""
+        return None if self.ids is None else len(self.ids)
 
     def __repr__(self):
         return "ExpandedTrace(%s, %s records)" % (
@@ -329,11 +333,11 @@ class ReferenceKernel(PipelineKernel):
 
 # --------------------------------------------------------- tabular kernel
 
-#: Address-readiness modes in an expanded row.
+#: Address-readiness modes in a timing tuple.
 _ADDR_EX_END = 0
 _ADDR_EX_START = 1
 
-#: Resolution modes in an expanded row.
+#: Resolution modes in a timing tuple.
 _RES_NONE = 0
 _RES_RD_END = 1
 _RES_EX_END = 2
@@ -365,44 +369,36 @@ def _plans_are_authoritative(organization):
 
 @register_kernel
 class TabularKernel(PipelineKernel):
-    """Precomputed-expansion backend with a tightened recurrence.
+    """Expansion over the shared significance layer, tightened replay.
 
-    ``expand`` walks the trace once and emits one plain tuple per
-    record::
+    ``expand`` takes the trace's :class:`~repro.pipeline.siginfo.
+    SignificanceLayer` under the organization's scheme and maps the
+    organization's hooks over its *distinct* signatures only, emitting
+    one timing tuple per signature::
 
-        (pc, srcs, dest, dest_kind,
+        (srcs, dest, dest_kind,
          occ_if, occ_rd, occ_ex, occ_mem, occ_wb, ex_lat, fetch_bytes,
-         mem_addr, mem_is_store, addr_mode, addr_off,
-         res_mode, res_depth, record)
+         is_store, addr_mode, addr_off, res_mode, res_depth)
 
-    Three memo tables carry the significance work:
-
-    * per instruction *word*: fetch bytes, source/destination registers
-      and control classification (a trace has a few hundred static
-      instructions, so this table hits ~100%);
-    * per operand *value*: ``scheme.significant_blocks`` (operand values
-      repeat heavily — the premise of the paper);
-    * per ``(alu_kind, a, b)`` triple: the significance-ALU block count.
-
-    The per-record occupancies, EX latency and timing plans are then
-    memoized on the *significance signature* — ``(word, max_src_blocks,
-    alu_blocks, mem_blocks, result_blocks, has_mem, is_store)`` — which
-    is the documented purity contract for organizations under this
-    kernel: their ``occupancies``/``ex_latency``/plan hooks may depend
-    on the record only through that signature (all built-in
-    organizations do; ``info.src_blocks`` is collapsed to its maximum
-    and ``info.alu_result`` is ``None`` on the memoized path).
+    ``stage_excess`` is the count-weighted sum over the same signatures.
+    This is the documented purity contract for organizations under
+    this kernel: ``occupancies``/``ex_latency``/plan hooks may depend on
+    the record only through its signature (all built-in organizations
+    do).  The hooks see the signature's first record, a
+    :class:`~repro.pipeline.siginfo.SigInfo` whose ``src_blocks`` is
+    collapsed to its maximum, and ``alu_result=None``.
 
     ``simulate`` replays the reservation recurrence of the reference
-    kernel over those rows with stage clocks, stall counters and
-    register readiness held in local variables — no per-record siginfo
-    construction, organization dispatch or dict churn.
+    kernel, looking each record's timing up by signature id and reading
+    only its pc and memory address from the record itself, with stage
+    clocks, stall counters and register readiness held in local
+    variables.
     """
 
     name = TABULAR_KERNEL
 
     def expand(self, records, organization):
-        """One-pass memoized expansion; returns a row-table ExpandedTrace."""
+        """Timing per distinct signature; returns an ExpandedTrace."""
         org = organization
         if not _plans_are_authoritative(org):
             raise ValueError(
@@ -411,153 +407,84 @@ class TabularKernel(PipelineKernel):
                 "tabular kernel expands timing from the declarative plans"
                 % org.name
             )
-        scheme = org.scheme
+        if not isinstance(records, list):
+            records = list(records)
+        layer = significance_layer(records, org.scheme)
         compressor = org.compressor
-        block_bytes = scheme.block_bits // 8
-        sig_blocks = scheme.significant_blocks
-
-        word_memo = {}     # instr word -> static facts
-        value_memo = {}    # operand value -> significant blocks
-        alu_memo = {}      # (kind, a, b) -> alu blocks
-        row_memo = {}      # significance signature -> timing row tail
-
-        rows = []
-        append = rows.append
-        exc_if = exc_rd = exc_ex = exc_mem = exc_wb = 0
-
-        for record in records:
+        block_bytes = org.scheme.block_bits // 8
+        timings = []
+        excess = [0, 0, 0, 0, 0]
+        for signature, record, count in zip(
+            layer.signatures, layer.examples, layer.counts
+        ):
             instr = record.instr
-            word = instr.word
-            static = word_memo.get(word)
-            if static is None:
-                static = (
-                    compressor.bytes_fetched(instr),
-                    instr.source_registers(),
-                    instr.destination_register(),
-                    instr.is_load,
-                    instr.is_control,
-                )
-                word_memo[word] = static
-            fetch_bytes, srcs, dest, is_load, is_control = static
-
-            max_src = 0
-            for value in record.read_values:
-                blocks = value_memo.get(value)
-                if blocks is None:
-                    blocks = sig_blocks(value)
-                    value_memo[value] = blocks
-                if blocks > max_src:
-                    max_src = blocks
-
-            write_value = record.write_value
-            if write_value is None:
-                result_blocks = 0
-            else:
-                result_blocks = value_memo.get(write_value)
-                if result_blocks is None:
-                    result_blocks = sig_blocks(write_value)
-                    value_memo[write_value] = result_blocks
-
-            mem_addr = record.mem_addr
-            has_mem = mem_addr is not None
-            is_store = record.mem_is_store
-            if has_mem:
-                value_blocks = value_memo.get(record.mem_value)
-                if value_blocks is None:
-                    value_blocks = sig_blocks(record.mem_value)
-                    value_memo[record.mem_value] = value_blocks
-                size_blocks = record.mem_size // block_bytes
-                if size_blocks < 1:
-                    size_blocks = 1
-                mem_blocks = (
-                    value_blocks if value_blocks < size_blocks else size_blocks
+            fetch_bytes = compressor.bytes_fetched(instr)
+            dest = instr.destination_register()
+            result_blocks = signature.result_blocks
+            if signature.has_mem:
+                mem_blocks = min(
+                    signature.mem_value_blocks,
+                    max(1, signature.mem_size // block_bytes),
                 )
             else:
                 mem_blocks = 0
-
-            alu_kind = record.alu_kind
-            if alu_kind is None:
+            kind = signature.alu_kind
+            if kind is None:
                 alu_blocks = 0
                 dest_kind = 0 if dest is None else 3
             else:
-                if alu_kind == "lui":
-                    alu_blocks = result_blocks if result_blocks > 1 else 1
-                elif alu_kind in ("mult", "div"):
-                    a_blocks = value_memo.get(record.alu_a)
-                    if a_blocks is None:
-                        a_blocks = sig_blocks(record.alu_a)
-                        value_memo[record.alu_a] = a_blocks
-                    b_blocks = value_memo.get(record.alu_b)
-                    if b_blocks is None:
-                        b_blocks = sig_blocks(record.alu_b)
-                        value_memo[record.alu_b] = b_blocks
-                    alu_blocks = a_blocks if a_blocks > b_blocks else b_blocks
+                if kind == "lui":
+                    alu_blocks = max(1, result_blocks)
+                elif kind in ("mult", "div"):
+                    alu_blocks = signature.alu_blocks
+                elif signature.alu_blocks is None:
+                    alu_blocks = 0
                 else:
-                    alu_key = (alu_kind, record.alu_a, record.alu_b)
-                    alu_blocks = alu_memo.get(alu_key)
-                    if alu_blocks is None:
-                        result = alu_activity(record, scheme)
-                        if result is None:
-                            alu_blocks = 0
-                        else:
-                            alu_blocks = result.blocks_operated
-                            if alu_blocks < 1:
-                                alu_blocks = 1
-                        alu_memo[alu_key] = alu_blocks
+                    alu_blocks = max(1, signature.alu_blocks)
                 dest_kind = 0 if dest is None else 2
-            if is_load and dest is not None:
+            if instr.is_load and dest is not None:
                 dest_kind = 1
-
-            signature = (word, max_src, alu_blocks, mem_blocks,
-                         result_blocks, has_mem, is_store)
-            tail = row_memo.get(signature)
-            if tail is None:
-                info = SigInfo(
-                    fetch_bytes,
-                    (max_src,) if max_src else (),
-                    result_blocks,
-                    mem_blocks,
-                    alu_blocks,
-                    None,
-                )
-                occ = org.occupancies(record, info)
-                ex_lat = org.ex_latency(record, info)
-                if has_mem:
-                    addr_kind, addr_off = org.address_plan(record, info)
-                    addr_mode = _ADDR_MODES[addr_kind]
-                else:
-                    addr_mode = _ADDR_EX_END
-                    addr_off = 0
-                if is_control:
-                    res_kind, res_depth = org.resolution_plan(record, info)
-                    res_mode = _RES_MODES[res_kind]
-                else:
-                    res_mode = _RES_NONE
-                    res_depth = 0
-                tail = occ + (ex_lat, addr_mode, addr_off, res_mode, res_depth)
-                row_memo[signature] = tail
-            occ_if = tail[0]
-            exc_if += occ_if - 1
-            exc_rd += tail[1] - 1
-            exc_ex += tail[2] - 1
-            exc_mem += tail[3] - 1
-            exc_wb += tail[4] - 1
-            append((
-                record.pc, srcs, dest, dest_kind,
-                occ_if, tail[1], tail[2], tail[3], tail[4], tail[5],
-                fetch_bytes, mem_addr, is_store, tail[6], tail[7],
-                tail[8], tail[9], record,
-            ))
-        stage_excess = {
-            "if": exc_if, "rd": exc_rd, "ex": exc_ex,
-            "mem": exc_mem, "wb": exc_wb,
-        }
-        return ExpandedTrace(org, records, rows=rows, stage_excess=stage_excess)
+            src_max = signature.src_max
+            info = SigInfo(
+                fetch_bytes,
+                (src_max,) if src_max else (),
+                result_blocks,
+                mem_blocks,
+                alu_blocks,
+                None,
+            )
+            occupancies = org.occupancies(record, info)
+            if signature.has_mem:
+                addr_kind, addr_off = org.address_plan(record, info)
+                addr_mode = _ADDR_MODES[addr_kind]
+            else:
+                addr_mode = _ADDR_EX_END
+                addr_off = 0
+            if instr.is_control:
+                res_kind, res_depth = org.resolution_plan(record, info)
+                res_mode = _RES_MODES[res_kind]
+            else:
+                res_mode = _RES_NONE
+                res_depth = 0
+            timings.append(
+                (instr.source_registers(), dest, dest_kind)
+                + occupancies
+                + (org.ex_latency(record, info), fetch_bytes,
+                   signature.is_store, addr_mode, addr_off, res_mode,
+                   res_depth)
+            )
+            for stage, occupancy in enumerate(occupancies):
+                excess[stage] += count * (occupancy - 1)
+        stage_excess = dict(zip(("if", "rd", "ex", "mem", "wb"), excess))
+        return ExpandedTrace(
+            org, records, ids=layer.ids, timings=timings,
+            stage_excess=stage_excess,
+        )
 
     def simulate(self, expanded, hierarchy, predictor=None):
-        """Replay the tightened recurrence over precomputed rows."""
-        rows = expanded.rows
-        if rows is None:
+        """Replay the tightened recurrence, timing looked up per record."""
+        timings = expanded.timings
+        if timings is None:
             raise ValueError(
                 "the tabular kernel needs its own expansion; got a "
                 "pass-through ExpandedTrace"
@@ -581,12 +508,13 @@ class TabularKernel(PipelineKernel):
         ready_first_of = [0] * 32
         ready_last_of = [0] * 32
 
-        for (pc, srcs, dest, dest_kind,
+        for record, sid in zip(expanded.records, expanded.ids):
+            (srcs, dest, dest_kind,
              occ_if, occ_rd, occ_ex, occ_mem, occ_wb, ex_lat,
-             fetch_bytes, mem_addr, is_store, addr_mode, addr_off,
-             res_mode, res_depth, record) in rows:
+             fetch_bytes, is_store, addr_mode, addr_off,
+             res_mode, res_depth) = timings[sid]
             # ----------------------------------------------------------- IF
-            imiss = ifetch_stall(pc)
+            imiss = ifetch_stall(record.pc)
             if_start = f_if
             if redirect_time > if_start:
                 s_branch += redirect_time - if_start
@@ -638,6 +566,7 @@ class TabularKernel(PipelineKernel):
 
             # ---------------------------------------------------------- MEM
             arrival = ex_start + 1
+            mem_addr = record.mem_addr
             if mem_addr is None:
                 dmiss = 0
                 mem_start = arrival if arrival >= f_mem else f_mem
@@ -708,7 +637,7 @@ class TabularKernel(PipelineKernel):
         }
         return PipelineResult(
             org.name,
-            len(rows),
+            expanded.count,
             last_end,
             stalls,
             hierarchy.stats(),

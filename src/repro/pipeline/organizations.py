@@ -6,20 +6,11 @@ optional EX completion latency (skew latches), and control-resolution
 timing.  Widths are in *blocks* of the organization's scheme granularity
 (bytes for byte organizations, halfwords for the 16-bit serial one).
 
-Interpretation notes (recorded per DESIGN.md):
-
-* The 3-byte-wide instruction cache of Figure 3 serves all compressed
-  organizations: one cycle for three bytes, a second for the fourth.
-* In the *compressed* pipeline (Figure 9), the second register-read
-  cycle for multi-byte operands is modelled as skewed into EX — it
-  lengthens the instruction's completion and any dependent branch
-  resolution by one cycle but does not block the register file, which
-  matches the paper's measured +6% far better than a blocking read
-  (stack-pointer and global-array base operands are full-width on a
-  large fraction of instructions in any compiled code).
-* In the *skewed* pipeline (Figure 7) every instruction traverses the
-  byte-skew latches (one extra cycle of completion latency); with
-  *bypasses* (Figure 10) short operands skip them.
+Where the paper leaves a timing detail open, the interpretation chosen
+here (the 3-byte-wide instruction cache, the skewed second register
+read of the compressed pipeline, the skew latches of the skewed
+pipelines) is recorded in docs/ARCHITECTURE.md, "Organization
+interpretation notes".
 """
 
 from repro.core.extension import BYTE_SCHEME, HALFWORD_SCHEME, BlockScheme

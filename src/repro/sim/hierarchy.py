@@ -11,8 +11,8 @@ that the IF/MEM stage already accounts for.
 hierarchy registry (:mod:`repro.sim.hierarchy_model`).  Pipeline kernels
 consume it through the narrow timing protocol (:meth:`ifetch_stall` /
 :meth:`data_stall` / :meth:`classify_block`); the richer per-access
-:class:`AccessResult` path stays for the activity model and for tests
-that inspect individual accesses.
+:class:`AccessResult` path stays for tests that inspect individual
+accesses, the per-record activity oracle among them.
 """
 
 from repro.sim.cache import Cache, CacheConfig

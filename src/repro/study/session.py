@@ -45,6 +45,7 @@ from collections import namedtuple
 
 from repro.obs import tracing
 from repro.obs.metrics import MetricsRegistry, format_workload_scale
+from repro.pipeline.siginfo import TraceRecords
 from repro.workloads import mediabench_suite
 
 
@@ -156,7 +157,9 @@ class TraceStore:
                     handle.note(records=len(records))
                 if self.cache is not None:
                     self.cache.store(workload, scale, records)
-            self._traces[key] = records
+            # The list every consumer shares also carries the trace's
+            # significance layers, so they are built once per process.
+            self._traces[key] = TraceRecords(records, workload=workload.name)
         return self._traces[key]
 
     def stream(self, workload, scale=1):
